@@ -15,15 +15,28 @@ a real conjugate pair exactly when the per-factor shifts agree modulo
 the pairwise gcds of the active periods (the generalized CRT
 condition).  Primitive factors shortcut the local table through the
 Zech logarithm via the shift-and-add property of m-sequences.
+
+The tuples are found by a descent over the factors, one level each,
+instead of by filtering the full product of the tables.  Pairwise
+compatibility of the shifts is the same as compatibility of each shift
+with the merged congruence of the levels above it, so each side
+carries that merged residue down, and level i only visits the local
+pairs whose shifts match it modulo gcd(e_i, lcm of the periods above).
+The tables are grouped by those residues once and the groups keep table
+order, so the pairs come out in the product's lexicographic order.
+Every partial tuple visited is compatible as far as it goes, so the
+work grows with the pairs found rather than with the product.  The
+joint state v is the XOR of one basis image per level (compose is
+linear), read from the factor's orbit table and the basis's per-factor
+image table.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .cycles import CycleDescriptor, CycleSet, canonical_shifts
+from .cycles import CycleDescriptor, CycleSet, canonical_shifts, merge_congruence
 from .lfsr import StateBasis
 
 __all__ = [
@@ -110,7 +123,8 @@ class LocalPairTable:
     stands for the zero cycle: its side contributes the zero sequence,
     pinning the other side to the block itself.  Tables are built
     eagerly and kept; the footprint is t^2 * e entries at worst, cheap
-    at the intended scale.
+    at the intended scale.  ``buckets`` groups one table by shift
+    residues for the pair search and keeps each grouping it builds.
     """
 
     def __init__(self, factor, shift: int, cycle_id: int, block: int):
@@ -127,21 +141,38 @@ class LocalPairTable:
                 (y, (self.c + zech[(y - self.c) % e]) % e) for y in range(e) if y != self.c
             ]
         else:
-            for j, rep in enumerate(factor.states):
-                x = rep
-                for u in range(e):
+            for j in range(t):
+                for u, x in enumerate(factor.orbit(j)):
                     other = x ^ block
                     if other:
                         k, w = factor.locate(other)
                         table.setdefault((j, k), []).append((u, w))
-                    x = factor.lfsr.step(x)
         # zero-cycle rows: the nonzero side must be the block's own cycle
         table[(t, self.d)] = [(0, self.c)]
         table[(self.d, t)] = [(self.c, 0)]
         self._table = {key: tuple(val) for key, val in table.items()}
+        self._buckets = {}
 
     def pairs(self, j: int, k: int) -> tuple[tuple[int, int], ...]:
         return self._table.get((j, k), ())
+
+    def buckets(self, j: int, k: int, g1: int, g2: int) -> dict:
+        """pairs(j, k) grouped by (u mod g1, w mod g2), each group in table order.
+
+        Groupings with a modulus above 1 are kept for reuse; the trivial
+        one is a single group and costs nothing to rebuild.
+        """
+        pairs = self.pairs(j, k)
+        if g1 == g2 == 1:
+            return {(0, 0): pairs} if pairs else {}
+        key = (j, k, g1, g2)
+        groups = self._buckets.get(key)
+        if groups is None:
+            groups = {}
+            for u, w in pairs:
+                groups.setdefault((u % g1, w % g2), []).append((u, w))
+            self._buckets[key] = groups
+        return groups
 
 
 def build_local_tables(factors, rep: SpecialStateRep) -> list[LocalPairTable]:
@@ -169,49 +200,52 @@ def _iter_pairs(c1, c2, tables, factors, basis, rep, include_same=False):
         if c1 == rep.descriptor:
             yield ConjugatePair(SPECIAL_STATE, 0)
         return
-    s = len(factors)
     if any(not a and not b for a, b in zip(c1.flags, c2.flags)):
         return  # some factor missing on both sides: sums cannot reach S
-    options = []
+    levels = []
+    m1 = m2 = 1  # lcm of the active periods above this level, per side
     for i, f in enumerate(factors):
-        j = c1.indices[i] if c1.flags[i] else f.t
-        k = c2.indices[i] if c2.flags[i] else f.t
-        opts = tables[i].pairs(j, k)
-        if not opts:
+        a1, a2 = c1.flags[i], c2.flags[i]
+        p1 = f.order if a1 else 1
+        p2 = f.order if a2 else 1
+        g1, g2 = gcd(p1, m1), gcd(p2, m2)
+        groups = tables[i].buckets(
+            c1.indices[i] if a1 else f.t, c2.indices[i] if a2 else f.t, g1, g2
+        )
+        if not groups:
             return
-        options.append(opts)
-    p1 = [f.order if a else 1 for f, a in zip(factors, c1.flags)]
-    p2 = [f.order if a else 1 for f, a in zip(factors, c2.flags)]
-    checks = []
-    for m in range(s):
-        for i in range(m + 1, s):
-            g1 = gcd(p1[i], p1[m])
-            g2 = gcd(p2[i], p2[m])
-            if g1 > 1 or g2 > 1:
-                checks.append((i, m, g1, g2))
-    # states for the v side, precomputed once per local option
-    side_states = []
-    for i, f in enumerate(factors):
-        if c1.flags[i]:
-            base = f.states[c1.indices[i]]
-            side_states.append({u: f.lfsr.advance(base, u) for u, _ in options[i]})
+        if a1:
+            orbit, images = f.orbit(c1.indices[i]), basis.slot_images(i)
         else:
-            side_states.append(None)
-    l1, l2 = c1.shifts, c2.shifts
-    for combo in itertools.product(*options):
-        ok = True
-        for i, m, g1, g2 in checks:
-            if g1 > 1 and (combo[i][0] - l1[i] - combo[m][0] + l1[m]) % g1:
-                ok = False
-                break
-            if g2 > 1 and (combo[i][1] - l2[i] - combo[m][1] + l2[m]) % g2:
-                ok = False
-                break
-        if ok:
-            v = basis.compose(
-                [side_states[i][combo[i][0]] if c1.flags[i] else 0 for i in range(s)]
-            )
-            yield ConjugatePair(v, v ^ SPECIAL_STATE)
+            orbit = images = _ZERO_ORBIT
+        levels.append(
+            (groups, g1, g2, c1.shifts[i], c2.shifts[i], p1, p2, m1, m2, orbit, images)
+        )
+        m1, m2 = lcm(m1, p1), lcm(m2, p2)
+    yield from _descend(levels, 0, 0, 0, 0)
+
+
+# an inactive v side only meets the zero-cycle row (0, c): u = 0, state 0
+_ZERO_ORBIT = (0,)
+
+
+def _descend(levels, i, r1, r2, v):
+    """Pairs below level i, given each side's merged residue and v so far."""
+    groups, g1, g2, l1, l2, p1, p2, m1, m2, orbit, images = levels[i]
+    opts = groups.get(((r1 + l1) % g1, (r2 + l2) % g2), ())
+    if i + 1 == len(levels):
+        for u, _ in opts:
+            vx = v ^ images[orbit[u]]
+            yield ConjugatePair(vx, vx ^ SPECIAL_STATE)
+        return
+    for u, w in opts:
+        yield from _descend(
+            levels,
+            i + 1,
+            merge_congruence(r1, m1, u - l1, p1)[0],
+            merge_congruence(r2, m2, w - l2, p2)[0],
+            v ^ images[orbit[u]],
+        )
 
 
 def conjugate_pairs(c1, c2, tables, factors, basis, rep) -> tuple[ConjugatePair, ...]:
@@ -219,8 +253,13 @@ def conjugate_pairs(c1, c2, tables, factors, basis, rep) -> tuple[ConjugatePair,
 
     Every tuple of per-factor local pairs whose shifts satisfy the
     pairwise congruences (modulo gcds of the active periods of each
-    side) lifts to exactly one pair; the iteration order over the
-    local tables is fixed, so the output order is reproducible.
+    side) lifts to exactly one pair.  The tuples are found by a descent
+    over the factors: level i keeps only the local pairs whose shifts
+    agree, modulo gcd(e_i, lcm of the periods above), with the residue
+    each side has merged so far, then merges its own congruence and
+    descends.  The pairs come out in the lexicographic order of the
+    product of the local tables, so the order is reproducible, and
+    only compatible partial tuples are ever visited.
     """
     return tuple(_iter_pairs(c1, c2, tables, factors, basis, rep))
 

@@ -25,7 +25,8 @@ import sys
 from .adjacency import best_count, int_log2
 from .joining import g_trees, join_cycles, random_spanning_tree, verify_de_bruijn
 from .lfsr import parse_state, state_to_str
-from .pipeline import FactoredLfsr
+from .gf2 import degree
+from .pipeline import FactoredLfsr, parse_factors
 
 DEFAULT_MAX_ORDER = 24
 
@@ -87,14 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _instance(args) -> FactoredLfsr:
-    inst = FactoredLfsr.from_strings(args.factors)
+    polys = parse_factors(args.factors)
+    n = sum(degree(p) for p in polys)
     cap = getattr(args, "max_order", DEFAULT_MAX_ORDER)
-    if inst.n > cap and not getattr(args, "partial", False):
+    # checked before building: the per-factor tables alone cost 2^{n_i} each
+    if n > cap and not getattr(args, "partial", False):
         raise ValueError(
-            f"total degree {inst.n} exceeds the safety cap {cap}; raise --max-order "
+            f"total degree {n} exceeds the safety cap {cap}; raise --max-order "
             "or use generate --partial"
         )
-    return inst
+    return FactoredLfsr(polys)
 
 
 def _factor_list(inst):
@@ -249,7 +252,7 @@ def cmd_verify(args) -> int:
     for line in lines:
         length = len(line)
         n = args.order if args.order else length.bit_length() - 1
-        if length != 1 << n or line.strip("01"):
+        if n < 1 or length != 1 << n or line.strip("01"):
             results.append({"order": n, "valid": False})
             continue
         results.append({"order": n, "valid": verify_de_bruijn(line, n)})

@@ -60,11 +60,40 @@ class FactorData:
     assoc_primitive: int
     field: FieldContext
     lfsr: Lfsr
-    _orbit: dict | None = field(default=None, repr=False, compare=False)
+    _where: dict | None = field(default=None, repr=False, compare=False)
+    _orbit: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_primitive(self) -> bool:
         return self.t == 1
+
+    def _walk(self) -> None:
+        """Walk every nonzero cycle once, filling the orbit table and its inverse."""
+        where, orbit = {}, []
+        for j, rep in enumerate(self.states):
+            x = rep
+            row = []
+            for k in range(self.order):
+                where[x] = (j, k)
+                row.append(x)
+                x = self.lfsr.step(x)
+            if x != rep:
+                raise AssertionError(f"cycle {j} of {format_poly(self.poly)} did not close")
+            orbit.append(row)
+        if len(where) != (1 << self.degree) - 1:
+            raise AssertionError(
+                f"representatives of {format_poly(self.poly)} do not cover distinct cycles"
+            )
+        self._where, self._orbit = where, orbit
+
+    def orbit(self, j: int) -> list[int]:
+        """The states of cycle j in order: ``orbit(j)[k] == T^k states[j]``.
+
+        Built on first use, over all 2^deg - 1 nonzero states.
+        """
+        if self._orbit is None:
+            self._walk()
+        return self._orbit[j]
 
     def locate(self, state: int) -> tuple[int, int]:
         """Return (j, k) with state = T^k states[j].
@@ -73,21 +102,9 @@ class FactorData:
         """
         if state == 0:
             raise ValueError("the zero state lies on the zero cycle")
-        if self._orbit is None:
-            orbit = {}
-            for j, rep in enumerate(self.states):
-                x = rep
-                for k in range(self.order):
-                    orbit[x] = (j, k)
-                    x = self.lfsr.step(x)
-                if x != rep:
-                    raise AssertionError(f"cycle {j} of {format_poly(self.poly)} did not close")
-            if len(orbit) != (1 << self.degree) - 1:
-                raise AssertionError(
-                    f"representatives of {format_poly(self.poly)} do not cover distinct cycles"
-                )
-            self._orbit = orbit
-        return self._orbit[state]
+        if self._where is None:
+            self._walk()
+        return self._where[state]
 
 
 def states_per_factor(p: int) -> FactorData:

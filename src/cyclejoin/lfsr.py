@@ -241,7 +241,8 @@ class StateBasis:
     v = (a_1, ..., a_s) P is a bijection between concatenated component
     states and states of the product register.  P commutes with the
     state operator, which is what makes per-factor bookkeeping valid.
-    Immutable once built; safe to share across threads.
+    The matrices are fixed once built; the only later state is the
+    per-factor image tables of slot_images, filled on first use.
     """
 
     def __init__(self, polys):
@@ -260,6 +261,7 @@ class StateBasis:
             for j in range(reg.n):
                 rows.append(bits_to_state(reg.generate(1 << j, self.n)))
         self.rows = rows
+        self._slot_images = {}
         try:
             self.inv_rows = _gf2_invert(rows, self.n)
         except ValueError:
@@ -275,6 +277,22 @@ class StateBasis:
                 raise ValueError(f"component state {blk:#x} does not fit in {d} stages")
             a |= blk << off
         return _vec_mat(a, self.rows)
+
+    def slot_images(self, i: int) -> list[int]:
+        """images[x] = compose of the blocks that are x for factor i and 0 elsewhere.
+
+        compose is linear, so a joint state is the XOR of its blocks'
+        images.  One XOR per entry; 2^{n_i} entries, built on first use.
+        """
+        images = self._slot_images.get(i)
+        if images is None:
+            off, rows = self.offsets[i], self.rows
+            images = [0] * (1 << self.degrees[i])
+            for x in range(1, len(images)):
+                low = x & -x
+                images[x] = images[x ^ low] ^ rows[off + low.bit_length() - 1]
+            self._slot_images[i] = images
+        return images
 
     def decompose(self, v: int) -> list[int]:
         """Inverse of compose."""

@@ -20,7 +20,14 @@ from .gf2 import degree, format_poly, is_irreducible, parse_poly, poly_mul
 from .lfsr import Lfsr, StateBasis
 from .joining import greedy_connected_subgraph
 
-__all__ = ["FactoredLfsr"]
+__all__ = ["FactoredLfsr", "parse_factors"]
+
+
+def parse_factors(texts) -> list[int]:
+    """Factor polynomials from "11,111,11111" or from a list of such strings."""
+    if isinstance(texts, str):
+        texts = [t for t in texts.split(",") if t.strip()]
+    return [parse_poly(t) for t in texts]
 
 
 class FactoredLfsr:
@@ -69,9 +76,7 @@ class FactoredLfsr:
 
     @classmethod
     def from_strings(cls, texts) -> "FactoredLfsr":
-        if isinstance(texts, str):
-            texts = [t for t in texts.split(",") if t.strip()]
-        return cls([parse_poly(t) for t in texts])
+        return cls(parse_factors(texts))
 
     @property
     def psi(self) -> int:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -148,6 +149,14 @@ def test_verify_rejects_non_power_of_two(tmp_path, capsys):
     assert code == 1 and "FAIL" in vout
 
 
+@pytest.mark.parametrize("text,argv", [("0\n", ()), ("1\n", ()), ("01\n", ("--order", "-1"))])
+def test_verify_reports_order_below_one_as_fail(tmp_path, capsys, text, argv):
+    f = tmp_path / "short.txt"
+    f.write_text(text)
+    code, vout, err = run(capsys, "verify", str(f), *argv)
+    assert code == 1 and "FAIL" in vout and err == ""
+
+
 @pytest.mark.parametrize(
     "factors,msg",
     [
@@ -170,6 +179,17 @@ def test_safety_cap(capsys):
     assert code == 2 and "safety cap" in err
     code, out, _ = run(capsys, "count", "--factors", "11,111,11111", "--max-order", "7")
     assert code == 0
+
+
+def test_safety_cap_checked_before_building(capsys):
+    # degree 25: building the per-factor tables first would take far longer
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "count", "--factors", "10000000000000000000001001", "--max-order", "24"
+    )
+    assert code == 2 and out == ""
+    assert "total degree 25 exceeds the safety cap 24" in err
+    assert time.perf_counter() - start < 0.5
 
 
 def test_partial_bypasses_cap(capsys):
