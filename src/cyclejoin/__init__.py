@@ -4,70 +4,14 @@ Builds order-n de Bruijn sequences from an LFSR whose characteristic
 polynomial is a product of pairwise distinct irreducible polynomials
 over GF(2), counts exactly how many such sequences exist (spanning
 trees of the adjacency graph), and emits or samples any requested
-subset of them.
+subset of them.  The top level re-exports the entry points; everything
+else lives in the submodules.
 """
 
-from .gf2 import (
-    CyclotomicParams,
-    FieldContext,
-    cyclotomic_number,
-    degree,
-    find_associated_primitive,
-    format_poly,
-    is_irreducible,
-    is_primitive,
-    parse_poly,
-    poly_gcd,
-    poly_mod,
-    poly_mul,
-    poly_order,
-)
-from .lfsr import (
-    Lfsr,
-    StateBasis,
-    bits_to_state,
-    decimate,
-    parse_state,
-    solve_initial_state,
-    state_to_bits,
-    state_to_str,
-)
-from .cycles import (
-    CycleDescriptor,
-    CycleSet,
-    FactorData,
-    canonical_shifts,
-    enumerate_cycles,
-    locate_state,
-    representative_state,
-    states_per_factor,
-)
-from .adjacency import (
-    AdjacencyGraph,
-    ConjugatePair,
-    SpecialStateRep,
-    best_count,
-    build_graph,
-    build_local_tables,
-    conjugate_pairs,
-    first_conjugate_pair,
-    int_log2,
-    represent_special_state,
-)
-from .joining import (
-    DeBruijnSequence,
-    FeedbackFunction,
-    expand_tree,
-    feedback_function,
-    g_trees,
-    greedy_connected_subgraph,
-    join_cycles,
-    random_spanning_tree,
-    spanning_trees,
-    tree_expansions,
-    tree_multiplicity,
-    verify_de_bruijn,
-)
+from .gf2 import format_poly
+from .lfsr import state_to_str
+from .adjacency import best_count, int_log2
+from .joining import feedback_function, join_cycles, random_spanning_tree, verify_de_bruijn
 from .pipeline import FactoredLfsr
 
 __version__ = "0.1.0"

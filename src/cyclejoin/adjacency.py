@@ -13,8 +13,8 @@ T^{c_i} a_{d_i}, each factor gets a table of local shift pairs whose
 component states sum to its block, and a tuple of local pairs lifts to
 a real conjugate pair exactly when the per-factor shifts agree modulo
 the pairwise gcds of the active periods (the generalized CRT
-condition).  Primitive factors shortcut the local table through the
-Zech logarithm via the shift-and-add property of m-sequences.
+condition).  Each local table is read off the factor's orbit table:
+one pass over the factor's nonzero states, locating each partner.
 
 The tuples are found by a descent over the factors, one level each,
 instead of by filtering the full product of the tables.  Pairwise
@@ -45,7 +45,6 @@ __all__ = [
     "represent_special_state",
     "LocalPairTable",
     "build_local_tables",
-    "local_pairs",
     "conjugate_pairs",
     "first_conjugate_pair",
     "build_graph",
@@ -81,29 +80,16 @@ class SpecialStateRep:
 
 
 def represent_special_state(basis: StateBasis, factors) -> SpecialStateRep:
-    """Locate each block of S P^{-1} on its factor's cycles.
-
-    Scans T^k states[j] for each factor until the block appears; this
-    needs at most 2^{n_i} - 1 comparisons per factor.
-    """
+    """Locate each block of S P^{-1} on its factor's cycles (orbit-table lookups)."""
     factors = list(factors)
     blocks = basis.decompose(SPECIAL_STATE)
     shifts, ids = [], []
-    for f, blk in zip(factors, blocks):
-        found = None
-        for j, rep in enumerate(f.states):
-            x = rep
-            for k in range(f.order):
-                if x == blk:
-                    found = (k, j)
-                    break
-                x = f.lfsr.step(x)
-            if found:
-                break
-        if found is None:
-            raise AssertionError("special-state block not found on any cycle; basis is corrupt")
-        shifts.append(found[0])
-        ids.append(found[1])
+    for i, (f, blk) in enumerate(zip(factors, blocks)):
+        if blk == 0:
+            raise AssertionError(f"special-state block {i} is zero; basis is corrupt")
+        j, k = f.locate(blk)
+        shifts.append(k)
+        ids.append(j)
     orders = [f.order for f in factors]
     flags = (1,) * len(factors)
     desc = CycleDescriptor(
@@ -132,21 +118,14 @@ class LocalPairTable:
         self.c = shift
         self.d = cycle_id
         self.block = block
-        t, e = factor.t, factor.order
+        t = factor.t
         table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        if factor.is_primitive:
-            # shift-and-add: T^y a + T^{c + zech(y - c)} a = T^c a
-            zech = factor.field.zech
-            table[(0, 0)] = [
-                (y, (self.c + zech[(y - self.c) % e]) % e) for y in range(e) if y != self.c
-            ]
-        else:
-            for j in range(t):
-                for u, x in enumerate(factor.orbit(j)):
-                    other = x ^ block
-                    if other:
-                        k, w = factor.locate(other)
-                        table.setdefault((j, k), []).append((u, w))
+        for j in range(t):
+            for u, x in enumerate(factor.orbit(j)):
+                other = x ^ block
+                if other:
+                    k, w = factor.locate(other)
+                    table.setdefault((j, k), []).append((u, w))
         # zero-cycle rows: the nonzero side must be the block's own cycle
         table[(t, self.d)] = [(0, self.c)]
         table[(self.d, t)] = [(self.c, 0)]
@@ -180,11 +159,6 @@ def build_local_tables(factors, rep: SpecialStateRep) -> list[LocalPairTable]:
         LocalPairTable(f, rep.shifts[i], rep.cycle_ids[i], rep.blocks[i])
         for i, f in enumerate(factors)
     ]
-
-
-def local_pairs(factor, j: int, k: int, rep: SpecialStateRep, index: int):
-    """One-off table lookup; prefer build_local_tables when querying repeatedly."""
-    return LocalPairTable(factor, rep.shifts[index], rep.cycle_ids[index], rep.blocks[index]).pairs(j, k)
 
 
 def _iter_pairs(c1, c2, tables, factors, basis, rep, include_same=False):
@@ -286,10 +260,6 @@ class AdjacencyGraph:
             i, j = j, i
         return len(self.edges.get((i, j), ()))
 
-    def neighbors(self, i: int) -> list[int]:
-        out = [b if a == i else a for (a, b) in self.edges if i in (a, b)]
-        return sorted(out)
-
     def adjacency_lists(self) -> list[list[int]]:
         adj = [[] for _ in range(self.num_vertices)]
         for a, b in self.edges:
@@ -298,10 +268,6 @@ class AdjacencyGraph:
         for l in adj:
             l.sort()
         return adj
-
-    def degree(self, i: int) -> int:
-        """Number of incident edges, parallel edges counted."""
-        return sum(len(ps) for (a, b), ps in self.edges.items() if i in (a, b))
 
     def is_connected(self) -> bool:
         if self.num_vertices == 0:

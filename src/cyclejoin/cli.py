@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--partial",
         action="store_true",
-        help="skip the full graph: find one greedy spanning structure (no order cap)",
+        help="skip the full graph: find one greedy spanning structure "
+        "(--max-order then caps the largest factor degree, not the total)",
     )
 
     p = sub.add_parser("sample", help="emit sequences from uniformly random trees")
@@ -89,14 +90,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _instance(args) -> FactoredLfsr:
     polys = parse_factors(args.factors)
-    n = sum(degree(p) for p in polys)
     cap = getattr(args, "max_order", DEFAULT_MAX_ORDER)
     # checked before building: the per-factor tables alone cost 2^{n_i} each
-    if n > cap and not getattr(args, "partial", False):
-        raise ValueError(
-            f"total degree {n} exceeds the safety cap {cap}; raise --max-order "
-            "or use generate --partial"
-        )
+    if getattr(args, "partial", False):
+        top = max(map(degree, polys), default=0)
+        if top > cap:
+            raise ValueError(
+                f"factor degree {top} exceeds the safety cap {cap} "
+                "(--partial caps the largest factor); raise --max-order"
+            )
+    else:
+        n = sum(map(degree, polys))
+        if n > cap:
+            raise ValueError(
+                f"total degree {n} exceeds the safety cap {cap}; raise --max-order "
+                "or use generate --partial"
+            )
     return FactoredLfsr(polys)
 
 
@@ -191,10 +200,8 @@ def _emit_sequences(inst, trees, args) -> int:
         init = parse_state(args.initial_state)
         if init >> inst.n:
             raise ValueError(f"initial state must have {inst.n} bits")
-    seqs = []
-    for tree in trees:
-        seqs.append(join_cycles(tree, inst.lfsr, init))
     if args.format == "json":
+        seqs = [join_cycles(tree, inst.lfsr, init) for tree in trees]
         doc = {
             "n": inst.n,
             "psi": inst.psi,
@@ -207,7 +214,9 @@ def _emit_sequences(inst, trees, args) -> int:
             ]
         print(json.dumps(doc))
         return 0
-    for s in seqs:
+    # text output streams: each sequence is printed as soon as it is joined
+    for tree in trees:
+        s = join_cycles(tree, inst.lfsr, init)
         if args.provenance:
             pairs = " ".join(f"{state_to_str(p.v, inst.n)}/{state_to_str(p.v_hat, inst.n)}" for p in s.pairs)
             print(f"# tree: {pairs}")

@@ -18,14 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .gf2 import (
-    FieldContext,
-    degree,
-    find_associated_primitive,
-    format_poly,
-    is_irreducible,
-    poly_order,
-)
+from .gf2 import degree, find_associated_primitive, format_poly, is_irreducible, poly_order
 from .lfsr import Lfsr, StateBasis, bits_to_state, decimate, solve_initial_state
 
 __all__ = [
@@ -49,7 +42,8 @@ class FactorData:
     zero cycle is implicit and is addressed by index ``t`` where pair
     sets need it.  The representatives are anchored by decimation of
     the associated primitive's m-sequence, which ties cycle j to the
-    j-th cyclotomic class.
+    j-th cyclotomic class.  The orbit table (``orbit``, ``locate``) is
+    the one place a factor's cycles are walked.
     """
 
     poly: int
@@ -58,29 +52,30 @@ class FactorData:
     t: int
     states: tuple[int, ...]
     assoc_primitive: int
-    field: FieldContext
     lfsr: Lfsr
-    _where: dict | None = field(default=None, repr=False, compare=False)
+    _where: list | None = field(default=None, repr=False, compare=False)
     _orbit: list | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.t == 1
-
     def _walk(self) -> None:
-        """Walk every nonzero cycle once, filling the orbit table and its inverse."""
-        where, orbit = {}, []
+        """Walk every nonzero cycle once, filling the orbit table and its inverse.
+
+        The inverse is a flat list indexed by state holding j*order + k,
+        with -1 for the zero state.
+        """
+        e, taps, n1 = self.order, self.lfsr.taps, self.degree - 1
+        where = [-1] * (1 << self.degree)
+        orbit = []
         for j, rep in enumerate(self.states):
             x = rep
             row = []
-            for k in range(self.order):
-                where[x] = (j, k)
+            for pos in range(j * e, (j + 1) * e):
+                where[x] = pos
                 row.append(x)
-                x = self.lfsr.step(x)
+                x = (x >> 1) | ((x & taps).bit_count() & 1) << n1
             if x != rep:
                 raise AssertionError(f"cycle {j} of {format_poly(self.poly)} did not close")
             orbit.append(row)
-        if len(where) != (1 << self.degree) - 1:
+        if where.count(-1) != 1:
             raise AssertionError(
                 f"representatives of {format_poly(self.poly)} do not cover distinct cycles"
             )
@@ -98,13 +93,15 @@ class FactorData:
     def locate(self, state: int) -> tuple[int, int]:
         """Return (j, k) with state = T^k states[j].
 
-        Builds a lookup over all 2^deg - 1 nonzero states on first use.
+        Reads the inverse of the orbit table, built on first use.
         """
         if state == 0:
             raise ValueError("the zero state lies on the zero cycle")
         if self._where is None:
             self._walk()
-        return self._where[state]
+        if state >> self.degree:
+            raise ValueError(f"state {state:#x} does not fit in {self.degree} stages")
+        return divmod(self._where[state], self.order)
 
 
 def states_per_factor(p: int) -> FactorData:
@@ -141,7 +138,6 @@ def states_per_factor(p: int) -> FactorData:
         t=t,
         states=states,
         assoc_primitive=q,
-        field=FieldContext(q),
         lfsr=Lfsr(p),
     )
 
@@ -292,7 +288,7 @@ def enumerate_cycles(factors) -> CycleSet:
 def representative_state(c: CycleDescriptor, basis: StateBasis, factors) -> int:
     """A state on the described cycle: shifted component states through the basis."""
     blocks = [
-        f.lfsr.advance(f.states[j], l) if a else 0
+        f.orbit(j)[l] if a else 0
         for a, j, l, f in zip(c.flags, c.indices, c.shifts, factors, strict=True)
     ]
     return basis.compose(blocks)

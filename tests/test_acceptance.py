@@ -9,12 +9,7 @@ import random
 import time
 
 from cyclejoin.adjacency import best_count, int_log2
-from cyclejoin.gf2 import (
-    CyclotomicParams,
-    cyclotomic_number,
-    is_irreducible,
-    poly_powmod,
-)
+from cyclejoin.gf2 import is_irreducible, poly_powmod
 from cyclejoin.joining import (
     g_trees,
     join_cycles,
@@ -24,6 +19,7 @@ from cyclejoin.joining import (
 )
 from cyclejoin.lfsr import state_to_str
 from cyclejoin.pipeline import FactoredLfsr
+from field_oracle import CyclotomicParams, FieldContext, cyclotomic_number
 
 # golden desk-scale instances (factors, n, psi)
 GOLDEN_ROWS_N12 = [
@@ -208,7 +204,7 @@ def test_criterion_6_structural_invariants():
                 v = rng.randrange(1 << inst.n)
                 assert inst.basis.compose(inst.basis.decompose(v)) == v
             for f in inst.factors:
-                ctx = f.field
+                ctx = FieldContext(f.assoc_primitive)
                 # Zech identity over the whole table, powers recomputed
                 for l in range(1, ctx.e):
                     assert poly_powmod(0b10, ctx.zech[l], ctx.modulus) == (

@@ -10,11 +10,13 @@ from cyclejoin.adjacency import (
     conjugate_pairs,
     first_conjugate_pair,
     int_log2,
+    represent_special_state,
 )
 from cyclejoin.cycles import locate_state
-from cyclejoin.gf2 import CyclotomicParams, cyclotomic_number, is_irreducible
+from cyclejoin.gf2 import is_irreducible
 from cyclejoin.lfsr import state_to_str
 from cyclejoin.pipeline import FactoredLfsr
+from field_oracle import CyclotomicParams, FieldContext, cyclotomic_number
 
 N7 = "11,111,11111"
 
@@ -44,6 +46,17 @@ def test_special_state_single_primitive_factor():
     rep = inst.special
     assert inst.basis.compose(rep.blocks) == 1
     assert all(b != 0 for b in rep.blocks)
+
+
+def test_special_state_zero_block_is_reported():
+    inst = FactoredLfsr.from_strings(N7)
+
+    class ZeroBlockBasis:
+        def decompose(self, v):
+            return [0] * len(inst.factors)
+
+    with pytest.raises(AssertionError, match="basis is corrupt"):
+        represent_special_state(ZeroBlockBasis(), inst.factors)
 
 
 def _local_oracle(factor, j, k, c, d):
@@ -76,11 +89,12 @@ def test_local_pairs_match_brute_force_and_cyclotomic_numbers():
     tab = inst.tables[2]
     c, d = inst.special.shifts[2], inst.special.cycle_ids[2]
     params = CyclotomicParams.for_factor(f.degree, f.order)
+    ctx = FieldContext(f.assoc_primitive)
     for j in range(f.t):
         for k in range(f.t):
             got = sorted(tab.pairs(j, k))
             assert got == sorted(_local_oracle(f, j, k, c, d))
-            assert len(got) == cyclotomic_number(j - d, k - d, params, f.field)
+            assert len(got) == cyclotomic_number(j - d, k - d, params, ctx)
 
 
 def test_local_pairs_primitive_zech_equals_scan():
@@ -89,6 +103,11 @@ def test_local_pairs_primitive_zech_equals_scan():
         tab = inst.tables[i]
         c, d = inst.special.shifts[i], inst.special.cycle_ids[i]
         assert sorted(tab.pairs(0, 0)) == sorted(_local_oracle(f, 0, 0, c, d))
+        # shift-and-add: T^y a + T^{c + zech(y - c)} a = T^c a, in ascending y
+        zech, e = FieldContext(f.assoc_primitive).zech, f.order
+        assert tab.pairs(0, 0) == tuple(
+            (y, (c + zech[(y - c) % e]) % e) for y in range(e) if y != c
+        )
 
 
 def test_local_pairs_zero_cycle_rows():
@@ -184,8 +203,11 @@ def test_conjugate_pairs_random_instances_match_brute_force():
 def test_graph_shape_n7_reference():
     inst = FactoredLfsr.from_strings(N7)
     g = inst.graph()
-    assert [g.degree(i) for i in range(16)] == [1, 3, 5, 5, 5, 15, 15, 15] * 2
-    assert [len(g.neighbors(i)) for i in range(16)] == [1, 2, 3, 3, 3, 6, 6, 6] * 2
+    adj = g.adjacency_lists()
+    assert [sum(g.multiplicity(i, j) for j in adj[i]) for i in range(16)] == [
+        1, 3, 5, 5, 5, 15, 15, 15
+    ] * 2
+    assert [len(adj[i]) for i in range(16)] == [1, 2, 3, 3, 3, 6, 6, 6] * 2
     assert g.is_connected()
 
 
@@ -281,7 +303,8 @@ def test_aggregate_counts_match_cyclotomic_products(facs):
             d = inst.special.cycle_ids[i]
             if f1[i] and f2[i]:
                 params = CyclotomicParams.for_factor(f.degree, f.order)
-                expected *= cyclotomic_number(j1[i] - d, j2[i] - d, params, f.field)
+                ctx = FieldContext(f.assoc_primitive)
+                expected *= cyclotomic_number(j1[i] - d, j2[i] - d, params, ctx)
             elif f1[i] and not f2[i]:
                 ok = ok and j1[i] == d
             elif f2[i] and not f1[i]:

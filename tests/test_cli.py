@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import time
 
@@ -224,3 +226,33 @@ def test_generate_exhausts_stream_at_limit(capsys):
 def test_analyze_reports_connectivity(capsys):
     _, out, _ = run(capsys, "analyze", "--factors", "1011,1101", "--format", "json")
     assert json.loads(out)["connected"] is True
+
+
+def test_partial_caps_largest_factor_before_building(capsys):
+    # one degree-25 factor: its per-factor tables alone would hold 2^25 entries
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "generate", "--factors", "11,10000000000000000000001001", "--partial"
+    )
+    assert code == 2 and out == ""
+    assert "factor degree 25 exceeds the safety cap 24" in err and "--max-order" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_text_output_streams_each_sequence(monkeypatch):
+    from cyclejoin import cli
+
+    buf = io.StringIO()
+    lines_before_join = []
+    real_join = cli.join_cycles
+
+    def join(tree, lfsr, init):
+        lines_before_join.append(buf.getvalue().count("\n"))
+        return real_join(tree, lfsr, init)
+
+    monkeypatch.setattr(cli, "join_cycles", join)
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["generate", "--factors", "11,1101,11001", "--limit", "3"])
+    assert code == 0
+    assert lines_before_join == [0, 1, 2]
+    assert len(buf.getvalue().splitlines()) == 3

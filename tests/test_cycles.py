@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -64,6 +65,20 @@ def test_factor_locate():
         assert fd.locate(fd.lfsr.advance(rep, 3)) == (j, 3)
     with pytest.raises(ValueError):
         fd.locate(0)
+
+
+def test_factor_locate_rejects_states_wider_than_the_factor():
+    fd = states_per_factor(0b11111)
+    for state in (1 << 4, -1):
+        with pytest.raises(ValueError, match="does not fit"):
+            fd.locate(state)
+
+
+def test_orbit_walk_rejects_representatives_on_one_cycle():
+    fd = states_per_factor(0b11111)
+    bad = dataclasses.replace(fd, states=(fd.states[0],) * fd.t)
+    with pytest.raises(AssertionError, match="do not cover distinct cycles"):
+        bad.orbit(0)
 
 
 def test_enumerate_cycles_n7_reference():

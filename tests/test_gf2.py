@@ -3,9 +3,6 @@ import random
 import pytest
 
 from cyclejoin.gf2 import (
-    CyclotomicParams,
-    FieldContext,
-    cyclotomic_number,
     degree,
     find_associated_primitive,
     format_poly,
@@ -21,6 +18,7 @@ from cyclejoin.gf2 import (
     poly_powmod,
     prime_factors,
 )
+from field_oracle import CyclotomicParams, FieldContext, cyclotomic_number
 
 X = 0b10
 

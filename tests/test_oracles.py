@@ -1,0 +1,106 @@
+"""Checks against oracles that share no code with the package.
+
+networkx counts spanning trees by a floating-point Laplacian
+determinant, sympy tests irreducibility over GF(2) with its own
+algorithms, and Berlekamp-Massey measures the linear complexity of the
+emitted sequences, which for a de Bruijn sequence of order n lies in
+[2^{n-1} + n, 2^n - 1] (Chan, Games and Key 1982).
+"""
+
+import itertools
+import random
+
+import networkx as nx
+import pytest
+import sympy
+
+from cyclejoin.adjacency import best_count
+from cyclejoin.gf2 import is_irreducible
+from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree
+from cyclejoin.pipeline import FactoredLfsr
+
+# every count below 2^50, so a float determinant rounds to the exact value
+SPANNING_TREE_INSTANCES = [
+    "111,1011",
+    "111,11111",
+    "11,111,1011",
+    "1011,1101",
+    "11,111,11111",
+    "11,1101,11001",
+    "11,111,10011",
+    "11,1101,1011",
+    "11,1011,11111",
+]
+
+# total degree <= 10: generated sequences are short enough for Berlekamp-Massey
+LINEAR_COMPLEXITY_INSTANCES = [
+    "11,10011",
+    "1011,1101",
+    "11,111,11111",
+    "11,1101,11001",
+    "111,1011,11111",
+    "11,111,1011,11111",
+    "11111111111",
+]
+
+
+def _nx_graph(graph, weighted: bool):
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.num_vertices))
+    for (a, b), pairs in graph.edges.items():
+        g.add_edge(a, b, weight=len(pairs) if weighted else 1)
+    return g
+
+
+@pytest.mark.parametrize("facs", SPANNING_TREE_INSTANCES)
+def test_best_count_matches_networkx(facs):
+    graph = FactoredLfsr.from_strings(facs).graph()
+    zg, zh = best_count(graph), best_count(graph, condensed=True)
+    assert zg < 1 << 50
+    assert round(nx.number_of_spanning_trees(_nx_graph(graph, True), weight="weight")) == zg
+    assert round(nx.number_of_spanning_trees(_nx_graph(graph, False), weight="weight")) == zh
+
+
+def test_is_irreducible_matches_sympy_up_to_degree_10():
+    x = sympy.Symbol("x")
+    for p in range(2, 1 << 11):
+        coeffs = [int(c) for c in format(p, "b")]
+        expected = sympy.Poly(coeffs, x, modulus=2).is_irreducible
+        assert is_irreducible(p) == expected, format(p, "b")
+
+
+def _linear_complexity(bits) -> int:
+    """Berlekamp-Massey over GF(2), polynomials held as int bit masks."""
+    c, b = 1, 1  # connection polynomials, bit i = coefficient of x^i
+    length, m = 0, -1
+    window = 0  # bit i = bits[k - i]
+    for k, s in enumerate(bits):
+        window = window << 1 | s
+        if (c & window).bit_count() & 1:
+            t = c
+            c ^= b << (k - m)
+            if 2 * length <= k:
+                length, m, b = k + 1 - length, k, t
+    return length
+
+
+def test_berlekamp_massey_known_values():
+    assert _linear_complexity([0, 0, 0, 0]) == 0
+    assert _linear_complexity([0, 0, 0, 1]) == 4
+    assert _linear_complexity([1, 0, 0, 1, 0, 1, 1] * 2) == 3  # m-sequence of x^3 + x + 1
+    assert _linear_complexity([0, 0, 0, 1, 0, 1, 1, 1] * 2) == 7  # a de Bruijn sequence, n = 3
+
+
+@pytest.mark.parametrize("facs", LINEAR_COMPLEXITY_INSTANCES)
+def test_linear_complexity_of_generated_sequences(facs):
+    inst = FactoredLfsr.from_strings(facs)
+    graph = inst.graph()
+    rng = random.Random(facs)
+    trees = list(itertools.islice(g_trees(graph), 2))
+    trees += [random_spanning_tree(graph, rng) for _ in range(2)]
+    n = inst.n
+    for tree in trees:
+        bits = [int(c) for c in join_cycles(tree, inst.lfsr).bits]
+        # two periods determine the linear complexity of a periodic sequence
+        lc = _linear_complexity(bits + bits)
+        assert (1 << (n - 1)) + n <= lc <= (1 << n) - 1
