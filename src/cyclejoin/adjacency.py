@@ -33,6 +33,7 @@ image table.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -259,6 +260,16 @@ class AdjacencyGraph:
         if i > j:
             i, j = j, i
         return len(self.edges.get((i, j), ()))
+
+    @cached_property
+    def incidence(self) -> list[list[tuple[int, ConjugatePair]]]:
+        """Per vertex, (neighbor, pair) for every pair at it, in edge order; built once."""
+        incident = [[] for _ in range(self.num_vertices)]
+        for (a, b), pairs in self.edges.items():
+            for p in pairs:
+                incident[a].append((b, p))
+                incident[b].append((a, p))
+        return incident
 
     def adjacency_lists(self) -> list[list[int]]:
         adj = [[] for _ in range(self.num_vertices)]

@@ -201,18 +201,22 @@ def _emit_sequences(inst, trees, args) -> int:
         if init >> inst.n:
             raise ValueError(f"initial state must have {inst.n} bits")
     if args.format == "json":
-        seqs = [join_cycles(tree, inst.lfsr, init) for tree in trees]
-        doc = {
-            "n": inst.n,
-            "psi": inst.psi,
-            "sequences": [s.packed_hex() if args.hex else s.bits for s in seqs],
-        }
+        # written piece by piece, each sequence right after its join; the
+        # bytes equal json.dumps of the whole document
+        out = sys.stdout
+        out.write(f'{{"n": {inst.n}, "psi": {inst.psi}, "sequences": [')
+        trees_doc = []
+        for k, tree in enumerate(trees):
+            s = join_cycles(tree, inst.lfsr, init)
+            out.write((", " if k else "") + json.dumps(s.packed_hex() if args.hex else s.bits))
+            if args.provenance:
+                trees_doc.append(
+                    [[state_to_str(p.v, inst.n), state_to_str(p.v_hat, inst.n)] for p in s.pairs]
+                )
+        out.write("]")
         if args.provenance:
-            doc["trees"] = [
-                [[state_to_str(p.v, inst.n), state_to_str(p.v_hat, inst.n)] for p in s.pairs]
-                for s in seqs
-            ]
-        print(json.dumps(doc))
+            out.write(f', "trees": {json.dumps(trees_doc)}')
+        out.write("}\n")
         return 0
     # text output streams: each sequence is printed as soon as it is joined
     for tree in trees:

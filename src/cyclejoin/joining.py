@@ -17,10 +17,17 @@ Uniform random G-trees come from a random walk (Broder's algorithm):
 walk the multigraph picking uniform incident edges, keep each vertex's
 first-entrance edge.  Run on the full multigraph, not the condensed
 one, this is uniform over sequences of the class.
+
+A joined sequence is the register's cycles spliced at the tree's
+conjugate pairs, so it is emitted as O(psi) slices of the cycle
+strings that Lfsr.cycle_table builds once per register, not by
+stepping the joined register bit by bit.  The de Bruijn check reads
+all 2^n cyclic windows out of one big integer.
 """
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .adjacency import AdjacencyGraph, ConjugatePair, first_conjugate_pair
@@ -181,11 +188,7 @@ def random_spanning_tree(graph: AdjacencyGraph, seed) -> tuple[ConjugatePair, ..
     if not graph.is_connected():
         raise ValueError("graph is disconnected: no spanning tree exists")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    incident = [[] for _ in range(graph.num_vertices)]
-    for (a, b), pairs in graph.edges.items():
-        for p in pairs:
-            incident[a].append((b, p))
-            incident[b].append((a, p))
+    incident = graph.incidence
     cur = 0
     seen = 1
     entered = [None] * graph.num_vertices
@@ -256,19 +259,42 @@ def join_cycles(pairs, spec: Lfsr, init: int = 0) -> DeBruijnSequence:
     that swaps the successors inside each conjugate pair and splices
     the cycles along the tree.  Distinct pairs always carry distinct
     suffixes, which the precondition check enforces.
+
+    The output is cut from the register's cycle strings: the run
+    follows a cycle up to its next pair state, then continues on the
+    cycle of that state's conjugate, one slice per visit.
     """
     n = spec.n
     suffixes = {p.v >> 1 for p in pairs}
     if len(suffixes) != len(pairs):
         raise AssertionError("conjugate pairs in a tree must have distinct suffixes")
+    table = spec.cycle_table()
+    cycles = table.cycles
+    # leaving a pair state lands on the successor of its conjugate
+    jump = {}
+    for w in suffixes:
+        (a, i), (b, j) = table.locate(w << 1), table.locate(w << 1 | 1)
+        jump[a, i] = b, (j + 1) % len(cycles[b])
+        jump[b, j] = a, (i + 1) % len(cycles[a])
+    stops = {}
+    for c, k in sorted(jump):
+        stops.setdefault(c, []).append(k)
+    size = 1 << n
+    c, k = table.locate(init)
     out = []
-    state = init
-    taps, top = spec.taps, n - 1
-    for _ in range(1 << n):
-        out.append(state & 1)
-        b = ((state & taps).bit_count() & 1) ^ ((state >> 1) in suffixes)
-        state = (state >> 1) | b << top
-    return DeBruijnSequence("".join(map(str, out)), n, tuple(pairs), init)
+    total = 0
+    while total < size:
+        cyc, ks = cycles[c], stops.get(c)
+        if ks is None:
+            # no pair state on the start cycle: the run never leaves it
+            out.append((cyc[k:] + cyc[:k]) * -(-size // len(cyc)))
+            break
+        q = ks[bisect_left(ks, k) % len(ks)]
+        seg = cyc[k : q + 1] if k <= q else cyc[k:] + cyc[: q + 1]
+        out.append(seg)
+        total += len(seg)
+        c, k = jump[c, q]
+    return DeBruijnSequence("".join(out)[:size], n, tuple(pairs), init)
 
 
 @dataclass(frozen=True)
@@ -313,19 +339,46 @@ def feedback_function(pairs, spec: Lfsr) -> FeedbackFunction:
     return FeedbackFunction(spec.poly, spec.n, suffixes)
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def verify_de_bruijn(seq, n: int) -> bool:
-    """True iff the cyclic sequence contains every n-bit window exactly once."""
-    bits = [int(c) for c in seq] if isinstance(seq, str) else list(seq)
-    if len(bits) != 1 << n:
-        raise ValueError(f"sequence length {len(bits)} is not 2^{n}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("sequence must be binary")
-    ext = bits + bits[: n - 1]
-    seen = set()
-    w = 0
-    mask = (1 << n) - 1
-    for i, b in enumerate(ext):
-        w = (w >> 1) | b << (n - 1)
-        if i >= n - 1:
-            seen.add(w)
-    return len(seen) == 1 << n
+    """True iff the cyclic sequence contains every n-bit window exactly once.
+
+    `seq` is a string of 0s and 1s or an iterable of 0/1 values.  All
+    2^n window values come from one big integer: each bit becomes a
+    digit wide enough to hold an n-bit value, and adding the integer
+    shifted down by j digits and up by j bits, for j < n, leaves the
+    value of the window starting at each digit.
+    """
+    if n < 1:
+        raise ValueError(f"order {n} is below 1")
+    size = 1 << n
+    if isinstance(seq, str):
+        if len(seq) != size:
+            raise ValueError(f"sequence length {len(seq)} is not 2^{n}")
+        if seq.strip("01"):
+            raise ValueError("sequence must be binary")
+        data = seq.encode("ascii").translate(_BIT_VALUES)
+    else:
+        bits = list(seq)
+        if len(bits) != size:
+            raise ValueError(f"sequence length {len(bits)} is not 2^{n}")
+        try:
+            data = bytes(bits)
+        except (TypeError, ValueError):
+            raise ValueError("sequence must be binary") from None
+        if data.strip(b"\0\1"):
+            raise ValueError("sequence must be binary")
+    data += data[: n - 1]
+    width = next(w for w in _DIGIT_FORMATS if n <= 8 * w)
+    digits = bytearray(width * len(data))
+    digits[::width] = data
+    x = int.from_bytes(digits, "little")
+    windows = 0
+    for j in range(n):
+        windows += (x >> (8 * width * j)) << j
+    # read back in native order: a byte swap maps distinct values to distinct values
+    values = memoryview(windows.to_bytes(len(digits), "little")).cast(_DIGIT_FORMATS[width])
+    return len(set(values[:size])) == size

@@ -1,4 +1,4 @@
-"""LFSR state machinery: stepping, sequences, decimation, state bases.
+"""LFSR state machinery: stepping, sequences, cycle tables, decimation, state bases.
 
 A state of an n-stage register is an int whose bit i holds s_i, i.e.
 the next output bit sits in bit 0.  All bit I/O follows this
@@ -10,10 +10,15 @@ by right multiplication, so advancing a state k steps is one vector
 times A^k.  Matrices over GF(2) are stored as lists of row masks.
 """
 
+import sys
+from array import array
+from bisect import bisect_right
+
 from .gf2 import degree, format_poly, is_primitive
 
 __all__ = [
     "Lfsr",
+    "CycleTable",
     "decimate",
     "solve_initial_state",
     "StateBasis",
@@ -146,6 +151,7 @@ class Lfsr:
         self.n = n
         self.taps = poly ^ (1 << n)
         self._companion = None
+        self._cycle_table = None
 
     def __repr__(self):
         return f"Lfsr({format_poly(self.poly)})"
@@ -178,6 +184,12 @@ class Lfsr:
             self._companion = rows
         return self._companion
 
+    def cycle_table(self) -> "CycleTable":
+        """Every cycle as a bit string, with a locator for states; built on first use."""
+        if self._cycle_table is None:
+            self._cycle_table = CycleTable(self)
+        return self._cycle_table
+
     def advance(self, state: int, k: int) -> int:
         """The k-th successor of a state (k >= 0).
 
@@ -191,6 +203,65 @@ class Lfsr:
                 state = self.step(state)
             return state
         return _vec_mat(state, _mat_pow(self.companion(), k))
+
+
+_LOW_BIT = bytes(b"01"[b & 1] for b in range(256))
+
+
+class CycleTable:
+    """The cycles of a register as output bit strings, with a way back from a state.
+
+    cycles[c] holds the outputs of cycle c read from its least state, so
+    the state at position k of cycle c is the n-bit window of cycles[c]
+    starting at k (read cyclically).  Cycles are numbered by their least
+    state.  One walk over the 2^n states builds the table; a state is
+    found again by stepping it to the nearest landmark, a state whose
+    position was kept: every cycle's first state and every gap-th state
+    of the walk.  A lookup takes at most gap steps and the landmarks
+    number about 2^n / gap, so gap = 2^(n/4) keeps both small.
+    """
+
+    def __init__(self, reg: Lfsr):
+        n, taps, top = reg.n, reg.taps, reg.n - 1
+        size = 1 << n
+        gap = 1 << n // 4
+        seen = bytearray(size)
+        order = array("I")  # the states in walk order
+        starts = []
+        start = 0
+        while start >= 0:
+            starts.append(len(order))
+            s = start
+            while True:
+                seen[s] = 1
+                order.append(s)
+                s = (s >> 1) | ((s & taps).bit_count() & 1) << top
+                if s == start:
+                    break
+            start = seen.find(0, start)
+        starts.append(size)
+        # a state's output bit is its lowest bit, which sits in the lowest byte
+        low = 0 if sys.byteorder == "little" else order.itemsize - 1
+        raw = memoryview(order).cast("B")[low :: order.itemsize]
+        text = raw.tobytes().translate(_LOW_BIT).decode("ascii")
+        self.n, self.taps = n, taps
+        self.cycles = [text[a:b] for a, b in zip(starts, starts[1:])]
+        self._starts = starts
+        self._marks = dict(zip(order[::gap], range(0, size, gap)))
+        self._marks.update((order[a], a) for a in starts[:-1])
+
+    def locate(self, state: int) -> tuple[int, int]:
+        """(c, k) such that `state` sits at position k of cycle c."""
+        if state < 0 or state >> self.n:
+            raise ValueError(f"state does not fit in {self.n} stages")
+        marks, taps, top = self._marks, self.taps, self.n - 1
+        steps = 0
+        while state not in marks:
+            state = (state >> 1) | ((state & taps).bit_count() & 1) << top
+            steps += 1
+        g = marks[state]
+        c = bisect_right(self._starts, g) - 1
+        return c, (g - self._starts[c] - steps) % len(self.cycles[c])
 
 
 def decimate(seq, d: int, offset: int = 0, count: int | None = None) -> list[int]:

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from cyclejoin.cli import main
+from cyclejoin.lfsr import state_to_str
 from cyclejoin.pipeline import FactoredLfsr
 
 
@@ -256,3 +257,43 @@ def test_text_output_streams_each_sequence(monkeypatch):
     assert code == 0
     assert lines_before_join == [0, 1, 2]
     assert len(buf.getvalue().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--factors", "11,1101,11001", "--limit", "3"],
+        ["generate", "--factors", "11,1101,11001", "--limit", "3", "--hex", "--provenance"],
+        ["sample", "--factors", "11,111,11111", "--limit", "3", "--seed", "4", "--provenance"],
+    ],
+)
+def test_json_output_streams_each_sequence(monkeypatch, argv):
+    from cyclejoin import cli
+
+    buf = io.StringIO()
+    sequences_before_join = []
+    joined = []
+    real_join = cli.join_cycles
+
+    def shown(s):
+        return s.packed_hex() if "--hex" in argv else s.bits
+
+    def join(tree, lfsr, init):
+        sequences_before_join.append(sum(shown(s) in buf.getvalue() for s in joined))
+        joined.append(real_join(tree, lfsr, init))
+        return joined[-1]
+
+    monkeypatch.setattr(cli, "join_cycles", join)
+    argv = [*argv, "--format", "json", "--initial-state", "10110"]
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert code == 0
+    assert sequences_before_join == [0, 1, 2]
+    inst = FactoredLfsr.from_strings(argv[2])
+    doc = {"n": inst.n, "psi": inst.psi, "sequences": [shown(s) for s in joined]}
+    if "--provenance" in argv:
+        doc["trees"] = [
+            [[state_to_str(p.v, inst.n), state_to_str(p.v_hat, inst.n)] for p in s.pairs]
+            for s in joined
+        ]
+    assert buf.getvalue() == json.dumps(doc) + "\n"

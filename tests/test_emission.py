@@ -1,0 +1,194 @@
+"""The spliced join and the big-integer window check against per-bit references.
+
+`reference_join` is the per-bit register run that join_cycles replaced:
+it steps all 2^n states, complementing the linear feedback on windows
+whose tail is a pair suffix.  join_cycles cuts the same output from the
+register's cycle strings, so the two must agree bit for bit on every
+pair set and start state, spanning or not.  `reference_windows` checks
+the de Bruijn property by slicing out every cyclic window as a string.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclejoin.adjacency import ConjugatePair
+from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree, verify_de_bruijn
+from cyclejoin.lfsr import Lfsr, state_to_str
+from cyclejoin.pipeline import FactoredLfsr
+from test_pair_search import GOLDEN
+
+
+def reference_join(pairs, spec: Lfsr, init: int = 0) -> str:
+    n = spec.n
+    suffixes = {p.v >> 1 for p in pairs}
+    out = []
+    state = init
+    taps, top = spec.taps, n - 1
+    for _ in range(1 << n):
+        out.append(state & 1)
+        b = ((state & taps).bit_count() & 1) ^ ((state >> 1) in suffixes)
+        state = (state >> 1) | b << top
+    return "".join(map(str, out))
+
+
+def reference_windows(bits: str, n: int) -> bool:
+    ext = bits + bits[: n - 1]
+    return len({ext[i : i + n] for i in range(len(bits))}) == len(bits) == 1 << n
+
+
+def lyndon_de_bruijn(n: int) -> str:
+    """The lexicographically least de Bruijn sequence (Fredricksen-Kessler-Maiorana)."""
+    a = [0] * (n + 1)
+    out = []
+
+    def gen(t, p):
+        if t > n:
+            if n % p == 0:
+                out.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        gen(t + 1, p)
+        for j in range(a[t - p] + 1, 2):
+            a[t] = j
+            gen(t + 1, t)
+
+    gen(1, 1)
+    return "".join(map(str, out))
+
+
+def pairs_for(suffixes):
+    return tuple(ConjugatePair(w << 1, w << 1 | 1) for w in suffixes)
+
+
+# ---- the spliced join -------------------------------------------------------
+
+
+@pytest.mark.parametrize("factors", GOLDEN)
+def test_join_matches_reference_on_golden_trees(factors):
+    inst = FactoredLfsr.from_strings(factors)
+    graph = inst.graph()
+    rng = random.Random(factors)
+    trees = list(g_trees(graph, limit=3)) + [random_spanning_tree(graph, rng) for _ in range(2)]
+    for tree in trees:
+        init = rng.randrange(1 << inst.n)
+        for start in (0, init):
+            seq = join_cycles(tree, inst.lfsr, start)
+            assert seq.bits == reference_join(tree, inst.lfsr, start)
+            assert seq.pairs == tuple(tree) and seq.initial_state == start
+
+
+@pytest.mark.parametrize("factors", ["1011,1101", "11,111,11111", "11,1101,11001", "10011,11111"])
+def test_join_matches_reference_from_every_start_state(factors):
+    inst = FactoredLfsr.from_strings(factors)
+    assert inst.n <= 8
+    tree = random_spanning_tree(inst.graph(), 1)
+    for init in range(1 << inst.n):
+        assert join_cycles(tree, inst.lfsr, init).bits == reference_join(tree, inst.lfsr, init)
+
+
+def test_join_without_spanning_pairs_matches_reference():
+    inst = FactoredLfsr.from_strings("11,1101,11001")  # 8 cycles, among them the zero cycle
+    tree = next(g_trees(inst.graph(), limit=1))
+    for pairs in ((), tree[:1], tree[-1:], tree[:3], tree[1:]):
+        for init in range(0, 1 << inst.n, 7):
+            seq = join_cycles(pairs, inst.lfsr, init)
+            assert seq.bits == reference_join(pairs, inst.lfsr, init)
+            assert not verify_de_bruijn(seq.bits, inst.n)
+
+
+def test_join_on_short_cycles_and_the_zero_cycle():
+    # x^6 + 1 rotates the state: cycles of length 1, 2, 3 and 6, and the
+    # zero state is a cycle of its own
+    reg = Lfsr(0b1000001)
+    assert sorted(set(map(len, reg.cycle_table().cycles))) == [1, 2, 3, 6]
+    for ws in ((), (0,), (0b10101,), (0, 0b11111), (0b01010, 0b10101, 0b00100)):
+        pairs = pairs_for(ws)
+        for init in (0, 1, 0b010101, 0b111111, 0b100100):
+            assert join_cycles(pairs, reg, init).bits == reference_join(pairs, reg, init)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_join_matches_reference_on_random_registers(data):
+    n = data.draw(st.integers(1, 9))
+    poly = 1 << n | data.draw(st.integers(0, (1 << n) - 1)) | 1
+    reg = Lfsr(poly)
+    ws = data.draw(st.sets(st.integers(0, (1 << (n - 1)) - 1), max_size=8))
+    init = data.draw(st.integers(0, (1 << n) - 1))
+    pairs = pairs_for(sorted(ws))
+    assert join_cycles(pairs, reg, init).bits == reference_join(pairs, reg, init)
+
+
+def test_cycle_table_locates_every_state():
+    for poly in (0b11, 0b1011011, 0b1000001, 0b110100101):
+        reg = Lfsr(poly)
+        table = reg.cycle_table()
+        assert reg.cycle_table() is table
+        n = reg.n
+        assert sum(map(len, table.cycles)) == 1 << n
+        least = []
+        for c, cyc in enumerate(table.cycles):
+            ext = cyc * (n // len(cyc) + 2)
+            states = [int(ext[k : k + n][::-1], 2) for k in range(len(cyc))]
+            assert len(set(states)) == len(cyc)
+            assert reg.step(states[-1]) == states[0]
+            least.append(states[0])
+            assert states[0] == min(states)
+            for k, s in enumerate(states):
+                assert state_to_str(s, n) == ext[k : k + n]
+                assert table.locate(s) == (c, k)
+        assert least == sorted(least)
+        for bad in (-1, 1 << n):
+            with pytest.raises(ValueError):
+                table.locate(bad)
+
+
+def test_join_rejects_start_state_wider_than_register():
+    reg = Lfsr(0b1011)
+    with pytest.raises(ValueError):
+        join_cycles((), reg, init=1 << 3)
+
+
+# ---- the window check -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [16, 17])
+def test_verify_matches_window_oracle(n):
+    # 8/9 and 16/17 straddle the switch to wider digits
+    rng = random.Random(n)
+    db = lyndon_de_bruijn(n)
+    assert reference_windows(db, n)
+    cases = [db, db[::-1], db.translate(str.maketrans("01", "10"))]
+    cases += [db[r:] + db[:r] for r in rng.sample(range(1 << n), min(4, 1 << n))]
+    for i in rng.sample(range(1 << n), min(4, 1 << n)):
+        cases.append(db[:i] + "10"[int(db[i])] + db[i + 1 :])
+    cases += ["".join(rng.choice("01") for _ in range(1 << n)) for _ in range(3)]
+    cases += ["0" * (1 << n), "01" * (1 << (n - 1))]
+    if n <= 3:
+        cases += [format(v, f"0{1 << n}b") for v in range(1 << (1 << n))]
+    for bits in cases:
+        expected = reference_windows(bits, n)
+        assert verify_de_bruijn(bits, n) is expected
+        assert verify_de_bruijn([int(c) for c in bits], n) is expected
+
+
+def test_verify_rejects_bad_input():
+    with pytest.raises(ValueError, match="length"):
+        verify_de_bruijn("0101", 3)
+    with pytest.raises(ValueError, match="length"):
+        verify_de_bruijn([0, 1, 1], 2)
+    with pytest.raises(ValueError, match="binary"):
+        verify_de_bruijn("0012", 2)
+    with pytest.raises(ValueError, match="binary"):
+        verify_de_bruijn("01 1", 2)
+    with pytest.raises(ValueError, match="binary"):
+        verify_de_bruijn([0, 2, 1, 1], 2)
+    with pytest.raises(ValueError, match="binary"):
+        verify_de_bruijn(["0", "1"], 1)
+    with pytest.raises(ValueError, match="binary"):
+        verify_de_bruijn([0, 256, 1, 1], 2)
+    with pytest.raises(ValueError, match="below 1"):
+        verify_de_bruijn("0", 0)

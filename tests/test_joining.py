@@ -184,6 +184,18 @@ def test_random_spanning_tree_deterministic_and_valid():
     assert verify_de_bruijn(seq.bits, inst.n)
 
 
+def test_sampler_incidence_is_built_once_in_edge_order():
+    # seeded draws index these lists, so their order fixes every sampled tree
+    g = FactoredLfsr.from_strings(ROW3).graph()
+    expected = [[] for _ in range(g.num_vertices)]
+    for (a, b), pairs in g.edges.items():
+        for p in pairs:
+            expected[a].append((b, p))
+            expected[b].append((a, p))
+    assert g.incidence == expected
+    assert g.incidence is g.incidence
+
+
 def test_random_spanning_tree_uniform_over_condensed_projection():
     # project uniform G-trees onto the 15 condensed trees; expected mass of
     # tree k is multiplicity(k) / zeta_G, check all bins within 3 sigma
