@@ -7,6 +7,9 @@ the cycles as vertices with one edge per shared pair.  Joining along a
 spanning tree of G produces a de Bruijn sequence, so counting the
 sequences constructible from the register is counting spanning trees
 (the BEST theorem: any cofactor of the degree-minus-adjacency matrix).
+The cofactor is an exact multimodular determinant: symmetric elimination
+modulo word-sized primes, each matrix row packed into one integer, and
+CRT up to a bound on the count.
 
 The pair search is factored: S decomposes into per-factor blocks
 T^{c_i} a_{d_i}, each factor gets a table of local shift pairs whose
@@ -32,6 +35,8 @@ image table.
 """
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
@@ -281,6 +286,11 @@ class AdjacencyGraph:
         return adj
 
     def is_connected(self) -> bool:
+        """Whether every vertex is reachable from vertex 0; searched once per graph."""
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         if self.num_vertices == 0:
             return True
         adj = self.adjacency_lists()
@@ -322,42 +332,164 @@ def build_graph(cycles: CycleSet, tables, factors, basis, rep) -> AdjacencyGraph
     return AdjacencyGraph(len(descs), edges)
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [row[:] for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    return sign * a[-1][-1]
-
-
 def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
     """Number of spanning trees: the (0, 0) cofactor of the Laplacian.
 
-    Computed exactly on arbitrary-precision integers; counts routinely
-    exceed 64 bits.  With condensed=True parallel edges collapse first,
-    giving the spanning-tree count of the condensed graph.
+    Computed exactly; counts routinely exceed 64 bits.  With
+    condensed=True parallel edges collapse first, giving the
+    spanning-tree count of the condensed graph.  A disconnected graph
+    has none.
+
+    For a connected graph the minor is symmetric positive definite, so
+    every leading principal minor is positive and elimination needs no
+    row swaps.  Orienting each spanning tree toward vertex 0 gives every
+    other vertex one parent edge among its incident edges, so the count
+    is at most the product of the minor's diagonal (the weighted
+    degrees; for the condensed graph, the distinct-neighbour counts).
+    The determinant is taken modulo enough word-sized primes for their
+    product to exceed that bound and recovered by CRT.
     """
+    if not graph.is_connected():
+        return 0
     m = graph.laplacian(condensed)
-    minor = [row[1:] for row in m[1:]]
-    return _bareiss_det(minor)
+    return _spd_det([row[1:] for row in m[1:]])
+
+
+# Packed elimination: row i of the upper triangle is one int holding
+# columns i..m-1 in 64-bit slots, slot 0 lowest.  A slot starts reduced
+# below p and gains less than p^2 from each of at most m - 1 pivots
+# before its row is reduced as a pivot, so p^2 (m + 2) < 2^64 keeps
+# every slot from carrying into the next.
+_SLOT_BITS = 64
+_SLOT_MAX = (1 << _SLOT_BITS) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _slot_prime_limit(m: int) -> int:
+    """Largest modulus whose slots cannot overflow in an m x m elimination."""
+    return math.isqrt(_SLOT_MAX // (m + 2))
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 4,759,123,141 (bases 2, 7, 61)."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 61):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _slot_primes(m: int):
+    """Odd primes up to the slot limit of an m x m elimination, largest first."""
+    p = _slot_prime_limit(m)
+    if p % 2 == 0:
+        p -= 1
+    while p > 2:
+        if _is_prime(p):
+            yield p
+        p -= 2
+
+
+def _pack(slots: list[int]) -> int:
+    if _BIG_ENDIAN:
+        slots = slots[::-1]
+    return int.from_bytes(array("Q", slots).tobytes(), sys.byteorder)
+
+
+def _unpack(x: int, width: int) -> list[int]:
+    words = memoryview(x.to_bytes(8 * width, sys.byteorder)).cast("Q").tolist()
+    return words[::-1] if _BIG_ENDIAN else words
+
+
+def _split_row(entries, width: int) -> tuple[int, int, int]:
+    """A row's positive entries, a 1 at each negative entry, and the negative magnitudes."""
+    pos, mask, neg = [0] * width, [0] * width, [0] * width
+    for d, v in entries:
+        if v > 0:
+            pos[d] = v
+        else:
+            mask[d], neg[d] = 1, -v
+    return _pack(pos), _pack(mask), _pack(neg)
+
+
+def _reduced_row(entries, width: int, p: int) -> int:
+    slots = [0] * width
+    for d, v in entries:
+        slots[d] = v % p
+    return _pack(slots)
+
+
+def _spd_det_mod(rows: list[int], p: int) -> int | None:
+    """det mod p by packed symmetric elimination, or None if a pivot vanishes mod p.
+
+    rows[i] holds the upper triangle's row i with every slot reduced
+    below p; the list is consumed.
+    """
+    m = len(rows)
+    det = 1
+    for k in range(m):
+        slots = [x % p for x in _unpack(rows[k], m - k)]
+        rows[k] = None
+        akk = slots[0]
+        if not akk:
+            return None  # p divides a leading minor; another prime will do
+        det = det * akk % p
+        neg_inv = p - pow(akk, -1, p)
+        piv = _pack(slots)
+        # by symmetry the pivot row's slot d is row k + d's column-k entry,
+        # so -slot/akk is that row's multiplier; shifting the pivot row by
+        # d slots lines it up with row k + d
+        for d in range(1, m - k):
+            c = slots[d]
+            if c:
+                rows[k + d] += (c * neg_inv % p) * (piv >> (_SLOT_BITS * d))
+    return det
+
+
+def _spd_det(a: list[list[int]]) -> int:
+    """Exact determinant of a symmetric positive definite integer matrix.
+
+    Hadamard's inequality bounds it by the product of the diagonal;
+    residues modulo primes whose product exceeds that bound are combined
+    by CRT into the unique value below that product.  A prime dividing a
+    leading minor is skipped.
+    """
+    m = len(a)
+    bound = math.prod(a[i][i] for i in range(m))
+    # upper triangle, sparse: (column - row, entry) per nonzero
+    upper = [[(j - i, v) for j, v in enumerate(row) if j >= i and v] for i, row in enumerate(a)]
+    top = max((abs(v) for entries in upper for _, v in entries), default=0)
+    if top < _slot_prime_limit(m):
+        split = [_split_row(e, m - i) for i, e in enumerate(upper)]
+    x, modulus = 0, 1
+    primes = _slot_primes(m)
+    while modulus <= bound:
+        p = next(primes)
+        if top < p:
+            # v mod p is v or p + v, so three big-int operations reduce a row
+            rows = [pos + p * mask - neg for pos, mask, neg in split]
+        else:
+            rows = [_reduced_row(e, m - i, p) for i, e in enumerate(upper)]
+        r = _spd_det_mod(rows, p)
+        if r is not None:
+            x += modulus * ((r - x) * pow(modulus, -1, p) % p)
+            modulus *= p
+    return x
 
 
 def int_log2(n: int) -> float:

@@ -250,7 +250,11 @@ def cmd_sample(args) -> int:
         raise ValueError("--limit must be positive")
     rng = random.Random(args.seed)
     graph = inst.graph()
-    trees = [random_spanning_tree(graph, rng) for _ in range(args.limit)]
+    if not graph.is_connected():
+        raise ValueError("graph is disconnected: no spanning tree exists")
+    # each tree is drawn just before its join, so output streams; joins
+    # never touch the rng, so the draws do not depend on when they happen
+    trees = (random_spanning_tree(graph, rng) for _ in range(args.limit))
     return _emit_sequences(inst, trees, args)
 
 

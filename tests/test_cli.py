@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import random
 import time
 
 import pytest
 
+from cyclejoin.adjacency import AdjacencyGraph
 from cyclejoin.cli import main
 from cyclejoin.lfsr import state_to_str
 from cyclejoin.pipeline import FactoredLfsr
@@ -297,3 +299,41 @@ def test_json_output_streams_each_sequence(monkeypatch, argv):
             for s in joined
         ]
     assert buf.getvalue() == json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sample_draws_each_tree_just_before_its_join(monkeypatch, fmt):
+    from cyclejoin import cli
+
+    buf = io.StringIO()
+    joined = []
+    sequences_before_draw = []
+    real_draw, real_join = cli.random_spanning_tree, cli.join_cycles
+
+    def draw(graph, rng):
+        sequences_before_draw.append(sum(s.bits in buf.getvalue() for s in joined))
+        return real_draw(graph, rng)
+
+    def join(tree, lfsr, init):
+        joined.append(real_join(tree, lfsr, init))
+        return joined[-1]
+
+    monkeypatch.setattr(cli, "random_spanning_tree", draw)
+    monkeypatch.setattr(cli, "join_cycles", join)
+    argv = ["sample", "--factors", "11,111,11111", "--limit", "3", "--seed", "9", "--format", fmt]
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    assert sequences_before_draw == [0, 1, 2]
+    # the same trees as drawing all three before the first join
+    rng = random.Random(9)
+    graph = FactoredLfsr.from_strings("11,111,11111").graph()
+    assert [s.pairs for s in joined] == [real_draw(graph, rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sample_on_disconnected_graph_exits_before_any_output(monkeypatch, capsys, fmt):
+    monkeypatch.setattr(FactoredLfsr, "graph", lambda self: AdjacencyGraph(self.psi, {}))
+    code, out, err = run(capsys, "sample", "--factors", "11,111,11111", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "disconnected" in err

@@ -1,0 +1,207 @@
+"""The packed multimodular cofactor against exact rational references.
+
+`bareiss_det` is the dense fraction-free elimination that best_count
+used before; `_det_fraction` is plain Gaussian elimination over the
+rationals.  Neither shares code with the packed determinant, which
+must agree with both on the Laplacian minors of the golden instances,
+on drawn multigraphs (connected or not), and on weighted matrices built
+to reach the unlucky-prime skip and entries beyond the modulus.
+"""
+
+import itertools
+import math
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclejoin.adjacency import (
+    AdjacencyGraph,
+    ConjugatePair,
+    _is_prime,
+    _pack,
+    _reduced_row,
+    _slot_prime_limit,
+    _slot_primes,
+    _spd_det,
+    _spd_det_mod,
+    _unpack,
+    best_count,
+)
+from cyclejoin.pipeline import FactoredLfsr
+from test_adjacency import _det_fraction
+from test_pair_search import GOLDEN
+
+# dense-count in the benchmark: psi = 236, 1184- and 1134-bit counts
+DENSE_FACTORS = "11,1011110010111"
+DENSE_ZETA_G = int(
+    "1511175496145308605557648757787611722721695342358688533273056224668537669630943339307619950586"
+    "3686214913862033244677374713218637909170267811058507659813545950274082491042749583091403680662"
+    "7935952559833737661759516410427424065913708609536000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000000"
+)
+DENSE_ZETA_GHAT = int(
+    "1379374807792272158937870654946357053469265029009064293076560044646929588386734107590879087061"
+    "9266134025832427036758273361545992540003027348724169477766520623481807668641899659512653587088"
+    "3295907335848928776483535220474584152840439973701107440193223638906011109862811964892684241655"
+    "488774838884931888995124401462429339300976075502857121431552"
+)
+
+
+def bareiss_det(m: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    a = [row[:] for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        akk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i, row_k = a[i], a[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = akk
+    return sign * a[-1][-1]
+
+
+def _minor(graph, condensed):
+    return [row[1:] for row in graph.laplacian(condensed)[1:]]
+
+
+def _check_against_references(graph, with_fraction=True):
+    for condensed in (False, True):
+        minor = _minor(graph, condensed)
+        expected = bareiss_det(minor)
+        assert best_count(graph, condensed) == expected
+        if with_fraction:
+            assert _det_fraction(minor) == expected
+
+
+# every golden instance but dense-count has psi <= 120
+@pytest.mark.parametrize("facs", [f for f in GOLDEN if f != DENSE_FACTORS])
+def test_golden_counts_match_references(facs):
+    inst = FactoredLfsr.from_strings(facs)
+    assert inst.psi <= 120
+    # the Fraction oracle takes seconds per minor beyond psi = 60
+    _check_against_references(inst.graph(), with_fraction=inst.psi <= 60)
+
+
+def test_dense_count_recorded_counts():
+    g = FactoredLfsr.from_strings(DENSE_FACTORS).graph()
+    assert g.num_vertices == 236
+    assert best_count(g) == DENSE_ZETA_G
+    assert best_count(g, condensed=True) == DENSE_ZETA_GHAT
+
+
+@st.composite
+def multigraphs(draw):
+    psi = draw(st.integers(1, 40))
+    density = draw(st.floats(0.0, 1.0))
+    edges = {}
+    label = 1
+    for a in range(psi):
+        for b in range(a + 1, psi):
+            if draw(st.floats(0.0, 1.0)) < density:
+                mult = draw(st.integers(1, 4))
+                edges[(a, b)] = tuple(
+                    ConjugatePair(2 * (label + k), 2 * (label + k) + 1) for k in range(mult)
+                )
+                label += mult
+    return AdjacencyGraph(psi, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_drawn_multigraphs_match_references(graph):
+    _check_against_references(graph)
+    if not graph.is_connected():
+        assert best_count(graph) == best_count(graph, condensed=True) == 0
+
+
+
+def test_disconnected_graph_without_isolated_vertices():
+    # two triangles: every diagonal entry is positive, the minor is singular
+    edges = {(a, b): (ConjugatePair(2 * (a * 6 + b), 2 * (a * 6 + b) + 1),)
+             for a, b in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]}
+    graph = AdjacencyGraph(6, edges)
+    assert not graph.is_connected()
+    assert best_count(graph) == best_count(graph, condensed=True) == 0
+    assert bareiss_det(_minor(graph, False)) == 0
+
+def _weighted_path_minor(weights):
+    """Laplacian minor of the path 0 - 1 - ... - m with edge (i-1, i) of weight w_i."""
+    m = len(weights)
+    a = [[0] * m for _ in range(m)]
+    for i in range(m):
+        a[i][i] = weights[i] + (weights[i + 1] if i + 1 < m else 0)
+        if i + 1 < m:
+            a[i][i + 1] = a[i + 1][i] = -weights[i + 1]
+    return a
+
+
+@pytest.mark.parametrize(
+    "path_weights",
+    [
+        # first leading minor w1 + w2 = p1, entries past p1 and past 2^64:
+        # every prime reduces the rows slot by slot
+        lambda p1, p2: [p1 - 7, 7, 3 * p1 + 5, (1 << 70) + 1, p1],
+        # second leading minor w1 w2 + w1 w3 + w2 w3 = p1 and largest entry
+        # p2: the rows are split by sign for p1 and reduced slot by slot after
+        lambda p1, p2: [1, 1, (p1 - 1) // 2, p2 - (p1 - 1) // 2, 3],
+    ],
+)
+def test_unlucky_prime_and_large_entries(path_weights):
+    m = 5
+    primes = _slot_primes(m)
+    p1, p2 = next(primes), next(primes)
+    weights = path_weights(p1, p2)
+    a = _weighted_path_minor(weights)
+    assert max(abs(v) for row in a for v in row) >= p2
+    rows = [_reduced_row([(j - i, v) for j, v in enumerate(row) if j >= i and v], m - i, p1)
+            for i, row in enumerate(a)]
+    assert _spd_det_mod(rows, p1) is None
+    expected = math.prod(weights)  # a path has one spanning tree of that weight
+    assert _spd_det(a) == expected == bareiss_det(a) == _det_fraction(a)
+
+
+def test_slot_limit_is_the_largest_safe_modulus():
+    for m in [1, 2, 3, 10, 31, 235, 315, 1000, 100_000]:
+        limit = _slot_prime_limit(m)
+        assert limit * limit * (m + 2) < 1 << 64 <= (limit + 1) ** 2 * (m + 2)
+        # worst slot: a residue below p plus m - 1 updates below p^2 each
+        assert (limit - 1) + (m - 1) * (limit - 1) ** 2 < 1 << 64
+        primes = list(itertools.islice(_slot_primes(m), 5))
+        assert primes == sorted(primes, reverse=True) and primes[0] <= limit
+        assert all(sympy.isprime(q) for q in primes)
+        assert sympy.prevprime(limit + 1) == primes[0]
+
+
+def test_is_prime_matches_sympy():
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7
+    for n in [2047, 1373653, 25326001, 3215031751]:
+        assert not _is_prime(n)
+    for n in range(5000):
+        assert _is_prime(n) == sympy.isprime(n), n
+    # 4759123141 is the first composite the bases 2, 7, 61 pass
+    limit = _slot_prime_limit(0)
+    assert limit < 4759123141
+    for n in range(limit - 3000, limit + 1):
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+@given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=40))
+def test_pack_round_trip(slots):
+    x = _pack(slots)
+    assert x == sum(v << (64 * i) for i, v in enumerate(slots))
+    assert _unpack(x, len(slots)) == slots

@@ -196,6 +196,23 @@ def test_sampler_incidence_is_built_once_in_edge_order():
     assert g.incidence is g.incidence
 
 
+def test_connectivity_is_searched_once_per_graph(monkeypatch):
+    g = FactoredLfsr.from_strings(ROW3).graph()
+    searches = []
+    real = AdjacencyGraph.adjacency_lists
+
+    def adjacency_lists(self):
+        searches.append(self)
+        return real(self)
+
+    monkeypatch.setattr(AdjacencyGraph, "adjacency_lists", adjacency_lists)
+    rng = random.Random(1)
+    for _ in range(3):
+        random_spanning_tree(g, rng)
+    assert g.is_connected() and best_count(g) == 926016
+    assert searches == [g]
+
+
 def test_random_spanning_tree_uniform_over_condensed_projection():
     # project uniform G-trees onto the 15 condensed trees; expected mass of
     # tree k is multiplicity(k) / zeta_G, check all bins within 3 sigma
