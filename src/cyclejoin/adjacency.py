@@ -124,18 +124,21 @@ class LocalPairTable:
         self.c = shift
         self.d = cycle_id
         self.block = block
-        t = factor.t
-        table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        t, e, where = factor.t, factor.order, factor.positions()
+        table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for j in range(t):
+            rows = [[] for _ in range(t)]  # per partner cycle k, in u order
             for u, x in enumerate(factor.orbit(j)):
-                other = x ^ block
-                if other:
-                    k, w = factor.locate(other)
-                    table.setdefault((j, k), []).append((u, w))
+                if x != block:  # the block's partner is the zero state
+                    k, w = divmod(where[x ^ block], e)
+                    rows[k].append((u, w))
+            for k, row in enumerate(rows):
+                if row:
+                    table[(j, k)] = tuple(row)
         # zero-cycle rows: the nonzero side must be the block's own cycle
-        table[(t, self.d)] = [(0, self.c)]
-        table[(self.d, t)] = [(self.c, 0)]
-        self._table = {key: tuple(val) for key, val in table.items()}
+        table[(t, self.d)] = ((0, self.c),)
+        table[(self.d, t)] = ((self.c, 0),)
+        self._table = table
         self._buckets = {}
 
     def pairs(self, j: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -447,7 +450,7 @@ def _spd_det_mod(rows: list[int], p: int) -> int | None:
         rows[k] = None
         akk = slots[0]
         if not akk:
-            return None  # p divides a leading minor; another prime will do
+            return None  # p divides a leading minor
         det = det * akk % p
         neg_inv = p - pow(akk, -1, p)
         piv = _pack(slots)
@@ -461,13 +464,44 @@ def _spd_det_mod(rows: list[int], p: int) -> int | None:
     return det
 
 
+def _pivoted_det_mod(upper, m: int, p: int) -> int:
+    """det mod p by dense elimination with row swaps, from the sparse upper triangle.
+
+    The fallback for a prime that divides a leading minor, where the
+    packed elimination meets a zero pivot; a singular matrix gives 0.
+    """
+    a = [[0] * m for _ in range(m)]
+    for i, entries in enumerate(upper):
+        for d, v in entries:
+            a[i][i + d] = a[i + d][i] = v % p
+    det = 1
+    for k in range(m):
+        piv = next((i for i in range(k, m) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        row = a[k]
+        det = det * row[k] % p
+        inv = pow(row[k], -1, p)
+        for i in range(k + 1, m):
+            f = a[i][k] * inv % p
+            if f:
+                ri = a[i]
+                for j in range(k + 1, m):
+                    ri[j] = (ri[j] - f * row[j]) % p
+    return det
+
+
 def _spd_det(a: list[list[int]]) -> int:
-    """Exact determinant of a symmetric positive definite integer matrix.
+    """Exact determinant of a symmetric positive semidefinite integer matrix.
 
     Hadamard's inequality bounds it by the product of the diagonal;
     residues modulo primes whose product exceeds that bound are combined
     by CRT into the unique value below that product.  A prime dividing a
-    leading minor is skipped.
+    leading minor, and every prime when the matrix is singular, takes the
+    pivoted elimination instead, so the loop always ends.
     """
     m = len(a)
     bound = math.prod(a[i][i] for i in range(m))
@@ -486,9 +520,10 @@ def _spd_det(a: list[list[int]]) -> int:
         else:
             rows = [_reduced_row(e, m - i, p) for i, e in enumerate(upper)]
         r = _spd_det_mod(rows, p)
-        if r is not None:
-            x += modulus * ((r - x) * pow(modulus, -1, p) % p)
-            modulus *= p
+        if r is None:
+            r = _pivoted_det_mod(upper, m, p)
+        x += modulus * ((r - x) * pow(modulus, -1, p) % p)
+        modulus *= p
     return x
 
 

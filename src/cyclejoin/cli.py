@@ -17,6 +17,7 @@ exceed 64 bits; log2 values are annotations rounded to one decimal.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import random
@@ -259,20 +260,20 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.path == "-":
-        lines = [l.strip() for l in sys.stdin]
-    else:
-        with open(args.path) as fh:
-            lines = [l.strip() for l in fh]
-    lines = [l for l in lines if l and not l.startswith("#")]
+    # lines stream in, but results print only after the last one: an input
+    # that fails to decode exits 2 with nothing on stdout
     results = []
-    for line in lines:
-        length = len(line)
-        n = args.order if args.order else length.bit_length() - 1
-        if n < 1 or length != 1 << n or line.strip("01"):
-            results.append({"order": n, "valid": False})
-            continue
-        results.append({"order": n, "valid": verify_de_bruijn(line, n)})
+    with contextlib.nullcontext(sys.stdin) if args.path == "-" else open(args.path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            n = args.order if args.order else len(line).bit_length() - 1
+            try:
+                valid = verify_de_bruijn(line, n)
+            except ValueError:
+                valid = False
+            results.append({"order": n, "valid": valid})
     ok = all(r["valid"] for r in results) and results
     if args.format == "json":
         print(json.dumps({"results": results, "all_valid": bool(ok)}))

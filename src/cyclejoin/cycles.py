@@ -28,7 +28,6 @@ __all__ = [
     "CycleSet",
     "enumerate_cycles",
     "representative_state",
-    "locate_state",
     "canonical_shifts",
     "merge_congruence",
 ]
@@ -90,18 +89,22 @@ class FactorData:
             self._walk()
         return self._orbit[j]
 
-    def locate(self, state: int) -> tuple[int, int]:
-        """Return (j, k) with state = T^k states[j].
+    def positions(self) -> list[int]:
+        """The orbit table's inverse: entry x is j*order + k where x = T^k states[j].
 
-        Reads the inverse of the orbit table, built on first use.
+        Entry 0, the zero state, is -1.  Built on first use.
         """
-        if state == 0:
-            raise ValueError("the zero state lies on the zero cycle")
         if self._where is None:
             self._walk()
+        return self._where
+
+    def locate(self, state: int) -> tuple[int, int]:
+        """Return (j, k) with state = T^k states[j]."""
+        if state == 0:
+            raise ValueError("the zero state lies on the zero cycle")
         if state >> self.degree:
             raise ValueError(f"state {state:#x} does not fit in {self.degree} stages")
-        return divmod(self._where[state], self.order)
+        return divmod(self.positions()[state], self.order)
 
 
 def states_per_factor(p: int) -> FactorData:
@@ -157,10 +160,6 @@ class CycleDescriptor:
     indices: tuple[int, ...]
     shifts: tuple[int, ...]
     period: int
-
-    @property
-    def active(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.flags) if a)
 
     def describe(self) -> str:
         """Symbolic form like "u1[0] + L2.u3[1]" (uI[j] = cycle j of factor I)."""
@@ -292,26 +291,3 @@ def representative_state(c: CycleDescriptor, basis: StateBasis, factors) -> int:
         for a, j, l, f in zip(c.flags, c.indices, c.shifts, factors, strict=True)
     ]
     return basis.compose(blocks)
-
-
-def locate_state(v: int, basis: StateBasis, factors, cycles: CycleSet) -> int:
-    """Index of the cycle containing the joint state v."""
-    if v == 0:
-        return cycles.zero_index
-    flags, indices, shifts = [], [], []
-    for blk, f in zip(basis.decompose(v), factors):
-        if blk == 0:
-            flags.append(0)
-            indices.append(0)
-            shifts.append(0)
-        else:
-            j, k = f.locate(blk)
-            flags.append(1)
-            indices.append(j)
-            shifts.append(k)
-    orders = [f.order for f in factors]
-    canon = canonical_shifts(flags, shifts, orders)
-    period = lcm(*(e for a, e in zip(flags, orders) if a))
-    return cycles.index_of(
-        CycleDescriptor(tuple(flags), tuple(indices), canon, period)
-    )

@@ -348,37 +348,55 @@ def verify_de_bruijn(seq, n: int) -> bool:
 
     `seq` is a string of 0s and 1s or an iterable of 0/1 values.  All
     2^n window values come from one big integer: each bit becomes a
-    digit wide enough to hold an n-bit value, and adding the integer
-    shifted down by j digits and up by j bits, for j < n, leaves the
-    value of the window starting at each digit.
+    digit wide enough to hold an n-bit value.  Shifting the integer
+    down by k digits and up by k bits and adding turns width-k windows
+    into width-2k ones, so the widths 1, 2, 4, ... that make up n cost
+    about log2(n) big-integer passes.
     """
     if n < 1:
         raise ValueError(f"order {n} is below 1")
-    size = 1 << n
     if isinstance(seq, str):
-        if len(seq) != size:
-            raise ValueError(f"sequence length {len(seq)} is not 2^{n}")
-        if seq.strip("01"):
+        _check_length(len(seq), n)
+        # a non-ASCII character becomes "?", which the binary check rejects
+        data = seq.encode("ascii", "replace")
+        if data.translate(None, b"01"):
             raise ValueError("sequence must be binary")
-        data = seq.encode("ascii").translate(_BIT_VALUES)
+        data = data.translate(_BIT_VALUES)
     else:
         bits = list(seq)
-        if len(bits) != size:
-            raise ValueError(f"sequence length {len(bits)} is not 2^{n}")
+        _check_length(len(bits), n)
         try:
             data = bytes(bits)
         except (TypeError, ValueError):
             raise ValueError("sequence must be binary") from None
-        if data.strip(b"\0\1"):
+        if data.translate(None, b"\0\1"):
             raise ValueError("sequence must be binary")
+    size = 1 << n
     data += data[: n - 1]
     width = next(w for w in _DIGIT_FORMATS if n <= 8 * w)
+    digit_bits = 8 * width
     digits = bytearray(width * len(data))
     digits[::width] = data
-    x = int.from_bytes(digits, "little")
-    windows = 0
-    for j in range(n):
-        windows += (x >> (8 * width * j)) << j
+    w = int.from_bytes(digits, "little")  # windows of width k = 1
+    windows = done = 0  # windows of width `done`, the set bits of n below k
+    k = 1
+    while True:
+        if n & k:
+            windows += (w >> (digit_bits * done)) << done
+            done += k
+        if k << 1 > n:
+            break
+        w += (w >> (digit_bits * k)) << k
+        k <<= 1
     # read back in native order: a byte swap maps distinct values to distinct values
     values = memoryview(windows.to_bytes(len(digits), "little")).cast(_DIGIT_FORMATS[width])
+    # The set is the permutation test: no stdlib call scatters 2^n values
+    # at C speed.  At n=16 it took 3.3 ms, against 5.0 ms for
+    # dict.fromkeys and 20 ms for comparing sorted() with range().
     return len(set(values[:size])) == size
+
+
+def _check_length(length: int, n: int) -> None:
+    # bit lengths first, so a huge n never builds 1 << n
+    if length.bit_length() != n + 1 or length != 1 << n:
+        raise ValueError(f"sequence length {length} is not 2^{n}")

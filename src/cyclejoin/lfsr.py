@@ -23,7 +23,6 @@ __all__ = [
     "solve_initial_state",
     "StateBasis",
     "bits_to_state",
-    "state_to_bits",
     "state_to_str",
     "parse_state",
 ]
@@ -37,10 +36,6 @@ def bits_to_state(bits) -> int:
             raise ValueError("state bits must be 0 or 1")
         v |= b << i
     return v
-
-
-def state_to_bits(v: int, n: int) -> tuple[int, ...]:
-    return tuple(v >> i & 1 for i in range(n))
 
 
 def state_to_str(v: int, n: int) -> str:
@@ -189,20 +184,6 @@ class Lfsr:
         if self._cycle_table is None:
             self._cycle_table = CycleTable(self)
         return self._cycle_table
-
-    def advance(self, state: int, k: int) -> int:
-        """The k-th successor of a state (k >= 0).
-
-        Small k just iterates; past 4n steps it is cheaper to raise the
-        companion matrix to the k-th power.
-        """
-        if k < 0:
-            raise ValueError("k must be nonnegative; reduce shifts modulo the period first")
-        if k <= 4 * self.n:
-            for _ in range(k):
-                state = self.step(state)
-            return state
-        return _vec_mat(state, _mat_pow(self.companion(), k))
 
 
 _LOW_BIT = bytes(b"01"[b & 1] for b in range(256))

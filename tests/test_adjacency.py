@@ -12,11 +12,11 @@ from cyclejoin.adjacency import (
     int_log2,
     represent_special_state,
 )
-from cyclejoin.cycles import locate_state
 from cyclejoin.gf2 import is_irreducible
 from cyclejoin.lfsr import state_to_str
 from cyclejoin.pipeline import FactoredLfsr
 from field_oracle import CyclotomicParams, FieldContext, cyclotomic_number
+from state_oracle import advance, locate_state
 
 N7 = "11,111,11111"
 
@@ -61,11 +61,12 @@ def test_special_state_zero_block_is_reported():
 
 def _local_oracle(factor, j, k, c, d):
     """All (u, w) with T^u a_j + T^w a_k = T^c a_d, by full double scan."""
-    target = factor.lfsr.advance(factor.states[d], c)
+    reg = factor.lfsr
+    target = advance(reg, factor.states[d], c)
     out = []
     for u in range(factor.order):
         for w in range(factor.order):
-            lhs = factor.lfsr.advance(factor.states[j], u) ^ factor.lfsr.advance(factor.states[k], w)
+            lhs = advance(reg, factor.states[j], u) ^ advance(reg, factor.states[k], w)
             if lhs == target:
                 out.append((u, w))
     return out
@@ -121,6 +122,30 @@ def test_local_pairs_zero_cycle_rows():
             if k != d:
                 assert tab.pairs(f.t, k) == ()
         assert tab.pairs(f.t, f.t) == ()
+
+
+def _locate_tables(f, c, d, block):
+    """Local tables built with one locate call per state, in orbit order."""
+    table = {}
+    for j in range(f.t):
+        for u, x in enumerate(f.orbit(j)):
+            if x != block:
+                k, w = f.locate(x ^ block)
+                table.setdefault((j, k), []).append((u, w))
+    table[(f.t, d)] = [(0, c)]
+    table[(d, f.t)] = [(c, 0)]
+    return {key: tuple(val) for key, val in table.items()}
+
+
+@pytest.mark.parametrize("facs", [N7, "11,1011110010111", "1001001,10000001111"])
+def test_local_tables_match_locate_reference(facs):
+    inst = FactoredLfsr.from_strings(facs)
+    for i, f in enumerate(inst.factors):
+        tab = inst.tables[i]
+        rep = inst.special
+        expected = _locate_tables(f, rep.shifts[i], rep.cycle_ids[i], rep.blocks[i])
+        keys = [(j, k) for j in range(f.t + 1) for k in range(f.t + 1)]
+        assert {key: tab.pairs(*key) for key in keys if tab.pairs(*key)} == expected
 
 
 def test_n7_reference_pair_matrix():

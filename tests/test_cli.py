@@ -162,6 +162,13 @@ def test_verify_reports_order_below_one_as_fail(tmp_path, capsys, text, argv):
     assert code == 1 and "FAIL" in vout and err == ""
 
 
+def test_verify_huge_order_is_a_failed_line(tmp_path, capsys):
+    f = tmp_path / "db.txt"
+    f.write_text("00010111\n")
+    code, vout, err = run(capsys, "verify", str(f), "--order", str(10**12))
+    assert (code, vout, err) == (1, f"sequence 1: order {10**12}: FAIL\n", "")
+
+
 @pytest.mark.parametrize(
     "factors,msg",
     [

@@ -5,11 +5,12 @@ used before; `_det_fraction` is plain Gaussian elimination over the
 rationals.  Neither shares code with the packed determinant, which
 must agree with both on the Laplacian minors of the golden instances,
 on drawn multigraphs (connected or not), and on weighted matrices built
-to reach the unlucky-prime skip and entries beyond the modulus.
+to reach the unlucky-prime fallback and entries beyond the modulus.
 """
 
 import itertools
 import math
+import time
 
 import pytest
 import sympy
@@ -21,6 +22,7 @@ from cyclejoin.adjacency import (
     ConjugatePair,
     _is_prime,
     _pack,
+    _pivoted_det_mod,
     _reduced_row,
     _slot_prime_limit,
     _slot_primes,
@@ -130,14 +132,43 @@ def test_drawn_multigraphs_match_references(graph):
 
 
 
-def test_disconnected_graph_without_isolated_vertices():
-    # two triangles: every diagonal entry is positive, the minor is singular
+def _two_triangles():
+    # every diagonal entry of the minor is positive, and the minor is singular
     edges = {(a, b): (ConjugatePair(2 * (a * 6 + b), 2 * (a * 6 + b) + 1),)
              for a, b in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]}
-    graph = AdjacencyGraph(6, edges)
+    return AdjacencyGraph(6, edges)
+
+
+def test_disconnected_graph_without_isolated_vertices():
+    graph = _two_triangles()
     assert not graph.is_connected()
     assert best_count(graph) == best_count(graph, condensed=True) == 0
     assert bareiss_det(_minor(graph, False)) == 0
+
+
+def test_singular_minor_without_connectivity_check():
+    # straight into the determinant: every prime meets a zero pivot and
+    # must still yield det = 0 mod p
+    minor = _minor(_two_triangles(), False)
+    start = time.perf_counter()
+    assert _spd_det(minor) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def _square(m):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=m, max_size=m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(_square))
+def test_pivoted_det_mod_matches_bareiss(rows):
+    # small entries make singular matrices and zero leading minors common
+    m = len(rows)
+    a = [[rows[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]  # symmetric
+    upper = [[(j - i, v) for j, v in enumerate(row) if j >= i and v] for i, row in enumerate(a)]
+    for p in (3, 5, 7, next(_slot_primes(m))):
+        assert _pivoted_det_mod(upper, m, p) == bareiss_det(a) % p
+
 
 def _weighted_path_minor(weights):
     """Laplacian minor of the path 0 - 1 - ... - m with edge (i-1, i) of weight w_i."""

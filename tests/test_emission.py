@@ -155,9 +155,10 @@ def test_join_rejects_start_state_wider_than_register():
 # ---- the window check -------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", list(range(1, 13)) + [16, 17])
+@pytest.mark.parametrize("n", list(range(1, 13)) + [13, 15, 16, 17])
 def test_verify_matches_window_oracle(n):
-    # 8/9 and 16/17 straddle the switch to wider digits
+    # 8/9 and 16/17 straddle the switch to wider digits; 7, 11, 13 and 15
+    # combine three or four doubled widths
     rng = random.Random(n)
     db = lyndon_de_bruijn(n)
     assert reference_windows(db, n)
@@ -192,3 +193,15 @@ def test_verify_rejects_bad_input():
         verify_de_bruijn([0, 256, 1, 1], 2)
     with pytest.raises(ValueError, match="below 1"):
         verify_de_bruijn("0", 0)
+
+
+def test_verify_rejects_non_ascii_and_unmatchable_orders():
+    with pytest.raises(ValueError, match="binary"):
+        verify_de_bruijn("0é01", 2)
+    with pytest.raises(ValueError, match="binary"):
+        verify_de_bruijn("0١", 1)  # a non-ASCII digit
+    # the length check never builds 1 << n for an order the length cannot match
+    with pytest.raises(ValueError, match="length"):
+        verify_de_bruijn("0101", 10**12)
+    with pytest.raises(ValueError, match="length"):
+        verify_de_bruijn([0, 1], 10**12)

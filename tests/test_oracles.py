@@ -1,10 +1,10 @@
 """Checks against oracles that share no code with the package.
 
 networkx counts spanning trees by a floating-point Laplacian
-determinant, sympy tests irreducibility over GF(2) with its own
-algorithms, and Berlekamp-Massey measures the linear complexity of the
-emitted sequences, which for a de Bruijn sequence of order n lies in
-[2^{n-1} + n, 2^n - 1] (Chan, Games and Key 1982).
+determinant, sympy tests irreducibility and powers of x over GF(2) with
+its own algorithms, and Berlekamp-Massey measures the linear complexity
+of the emitted sequences, which for a de Bruijn sequence of order n
+lies in [2^{n-1} + n, 2^n - 1] (Chan, Games and Key 1982).
 """
 
 import itertools
@@ -13,9 +13,11 @@ import random
 import networkx as nx
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod
 
 from cyclejoin.adjacency import best_count
-from cyclejoin.gf2 import is_irreducible
+from cyclejoin.gf2 import is_irreducible, is_primitive
 from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree
 from cyclejoin.pipeline import FactoredLfsr
 
@@ -67,6 +69,24 @@ def test_is_irreducible_matches_sympy_up_to_degree_10():
         coeffs = [int(c) for c in format(p, "b")]
         expected = sympy.Poly(coeffs, x, modulus=2).is_irreducible
         assert is_irreducible(p) == expected, format(p, "b")
+
+
+def test_is_primitive_matches_sympy_up_to_degree_10():
+    # primitive: irreducible, and x has order exactly 2^d - 1 modulo p
+    x = sympy.Symbol("x")
+    for p in range(2, 1 << 11):
+        coeffs = [int(c) for c in format(p, "b")]
+        order = (1 << (len(coeffs) - 1)) - 1
+
+        def x_pow_is_one(k):
+            return gf_pow_mod([1, 0], k, coeffs, 2, ZZ) == [1]
+
+        expected = (
+            sympy.Poly(coeffs, x, modulus=2).is_irreducible
+            and x_pow_is_one(order)
+            and not any(x_pow_is_one(order // q) for q in sympy.factorint(order))
+        )
+        assert bool(is_primitive(p)) == expected, format(p, "b")
 
 
 def _linear_complexity(bits) -> int:

@@ -2,9 +2,9 @@
 
 The reference below walks the full product of the per-factor local
 tables, filters it by the pairwise gcd congruences, and advances each
-component state with Lfsr.advance.  The descent in adjacency must give
-the same pairs in the same order, so every edges dict, its key order
-and every greedy tree must match.
+component state with state_oracle.advance.  The descent in adjacency
+must give the same pairs in the same order, so every edges dict, its key
+order and every greedy tree must match.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from cyclejoin.adjacency import SPECIAL_STATE, ConjugatePair, build_graph
 from cyclejoin.gf2 import degree, is_irreducible
 from cyclejoin.joining import greedy_connected_subgraph
 from cyclejoin.pipeline import FactoredLfsr
+from state_oracle import advance
 
 GOLDEN = [
     "1011,1101",
@@ -76,7 +77,7 @@ def reference_pairs(c1, c2, tables, factors, basis, rep):
     for i, f in enumerate(factors):
         if c1.flags[i]:
             base = f.states[c1.indices[i]]
-            side_states.append({u: f.lfsr.advance(base, u) for u, _ in options[i]})
+            side_states.append({u: advance(f.lfsr, base, u) for u, _ in options[i]})
         else:
             side_states.append(None)
     l1, l2 = c1.shifts, c2.shifts
@@ -161,7 +162,7 @@ def test_orbit_table_matches_advance(facs):
         for j, rep in enumerate(f.states):
             orbit = f.orbit(j)
             assert len(orbit) == f.order
-            assert all(orbit[k] == f.lfsr.advance(rep, k) for k in range(f.order))
+            assert all(orbit[k] == advance(f.lfsr, rep, k) for k in range(f.order))
             assert all(f.locate(x) == (j, k) for k, x in enumerate(orbit))
 
 
