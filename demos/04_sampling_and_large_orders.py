@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Uniform random sequences, and a shortcut for larger orders.
 
-A random walk on the full multigraph (keeping each vertex's
-first-entrance edge) gives a uniformly random spanning tree, hence a
+Wilson's loop-erased walk on the condensed graph, weighted by pair
+multiplicities, followed by a uniform pick of one pair inside each
+chosen bundle, gives a uniformly random spanning tree, hence a
 uniformly random de Bruijn sequence of the class.  When the complete
 pair computation is more than needed, a greedy frontier search finds
 just one spanning structure and still yields a valid sequence.

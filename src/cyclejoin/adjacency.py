@@ -39,6 +39,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -270,14 +271,23 @@ class AdjacencyGraph:
         return len(self.edges.get((i, j), ()))
 
     @cached_property
-    def incidence(self) -> list[list[tuple[int, ConjugatePair]]]:
-        """Per vertex, (neighbor, pair) for every pair at it, in edge order; built once."""
-        incident = [[] for _ in range(self.num_vertices)]
+    def walk_tables(
+        self,
+    ) -> tuple[list[list[int]], list[list[int]], list[list[tuple[ConjugatePair, ...]]]]:
+        """Per vertex, in edge order: neighbors, cumulative multiplicities, pair bundles.
+
+        The condensed graph weighted by multiplicity, as the sampler's
+        walk reads it; built once.
+        """
+        nbrs = [[] for _ in range(self.num_vertices)]
+        bundles = [[] for _ in range(self.num_vertices)]
         for (a, b), pairs in self.edges.items():
-            for p in pairs:
-                incident[a].append((b, p))
-                incident[b].append((a, p))
-        return incident
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+            bundles[a].append(pairs)
+            bundles[b].append(pairs)
+        cum = [list(accumulate(map(len, bs))) for bs in bundles]
+        return nbrs, cum, bundles
 
     def adjacency_lists(self) -> list[list[int]]:
         adj = [[] for _ in range(self.num_vertices)]

@@ -195,12 +195,16 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _emit_sequences(inst, trees, args) -> int:
+def _initial_state(inst, args) -> int:
     init = 0
-    if getattr(args, "initial_state", None):
+    if args.initial_state:
         init = parse_state(args.initial_state)
         if init >> inst.n:
             raise ValueError(f"initial state must have {inst.n} bits")
+    return init
+
+
+def _emit_sequences(inst, trees, init: int, args) -> int:
     if args.format == "json":
         # written piece by piece, each sequence right after its join; the
         # bytes equal json.dumps of the whole document
@@ -231,24 +235,29 @@ def _emit_sequences(inst, trees, args) -> int:
 
 def cmd_generate(args) -> int:
     inst = _instance(args)
+    # every argument is checked before the graph build, which can take minutes
     if args.limit < 1:
         raise ValueError("--limit must be positive")
+    if args.tree_index < 0:
+        raise ValueError("--tree-index must be nonnegative")
+    init = _initial_state(inst, args)
     if args.partial:
         tree_graph = inst.greedy_tree()
         pairs = tuple(ps[0] for ps in tree_graph.edges.values())
-        return _emit_sequences(inst, [pairs], args)
+        return _emit_sequences(inst, [pairs], init, args)
     trees = list(
         itertools.islice(g_trees(inst.graph()), args.tree_index, args.tree_index + args.limit)
     )
     if not trees:
         raise ValueError("tree index is past the last spanning tree")
-    return _emit_sequences(inst, trees, args)
+    return _emit_sequences(inst, trees, init, args)
 
 
 def cmd_sample(args) -> int:
     inst = _instance(args)
     if args.limit < 1:
         raise ValueError("--limit must be positive")
+    init = _initial_state(inst, args)
     rng = random.Random(args.seed)
     graph = inst.graph()
     if not graph.is_connected():
@@ -256,7 +265,7 @@ def cmd_sample(args) -> int:
     # each tree is drawn just before its join, so output streams; joins
     # never touch the rng, so the draws do not depend on when they happen
     trees = (random_spanning_tree(graph, rng) for _ in range(args.limit))
-    return _emit_sequences(inst, trees, args)
+    return _emit_sequences(inst, trees, init, args)
 
 
 def cmd_verify(args) -> int:
@@ -268,7 +277,7 @@ def cmd_verify(args) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            n = args.order if args.order else len(line).bit_length() - 1
+            n = args.order if args.order is not None else len(line).bit_length() - 1
             try:
                 valid = verify_de_bruijn(line, n)
             except ValueError:

@@ -13,10 +13,12 @@ the tree, so leaves at psi - 1 edges are exactly the spanning trees,
 each produced once.  The enumeration is lazy because the counts grow
 far beyond anything enumerable; callers take what they need.
 
-Uniform random G-trees come from a random walk (Broder's algorithm):
-walk the multigraph picking uniform incident edges, keep each vertex's
-first-entrance edge.  Run on the full multigraph, not the condensed
-one, this is uniform over sequences of the class.
+Uniform random G-trees come from Wilson's loop-erased walk on the
+condensed graph, each edge weighted by its multiplicity and the walk
+rooted at the vertex of largest weighted degree, followed by one
+uniform pick inside each chosen bundle.  A condensed tree comes out in
+proportion to its number of expansions and the pick splits that evenly
+among them, so the result is uniform over sequences of the class.
 
 A joined sequence is the register's cycles spliced at the tree's
 conjugate pairs, so it is emitted as O(psi) slices of the cycle
@@ -27,7 +29,7 @@ all 2^n cyclic windows out of one big integer.
 
 import itertools
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .adjacency import AdjacencyGraph, ConjugatePair, first_conjugate_pair
@@ -178,27 +180,48 @@ def g_trees(graph: AdjacencyGraph, limit: int | None = None):
 
 
 def random_spanning_tree(graph: AdjacencyGraph, seed) -> tuple[ConjugatePair, ...]:
-    """A uniformly random multigraph spanning tree via a random walk.
+    """A uniformly random multigraph spanning tree, by Wilson's algorithm.
 
-    First-entrance edges of a simple random walk form a uniform
-    spanning tree; picking uniformly among incident parallel edges
-    makes the result uniform over the multigraph's trees.  `seed` may
-    be an int or a random.Random to draw from.
+    Wilson's loop-erased walk runs on the condensed graph with each
+    edge weighted by its multiplicity: from every vertex not yet in the
+    tree, walk until the tree is hit, each step to a neighbor with
+    probability proportional to the bundle between them, and attach the
+    walk's last exit from each vertex it visited.  A condensed tree T
+    comes out with probability prod mult(e) / zeta_G; one pair picked
+    uniformly inside each bundle then spreads that evenly over T's
+    expansions, so every multigraph tree is equally likely.  The walk is
+    rooted at the vertex of largest weighted degree (lowest index on
+    ties), which walks hit soonest.  Pairs come in vertex order, root
+    left out.  `seed` may be an int or a random.Random to draw from.
     """
     if not graph.is_connected():
         raise ValueError("graph is disconnected: no spanning tree exists")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    incident = graph.incidence
-    cur = 0
-    seen = 1
-    entered = [None] * graph.num_vertices
-    while seen < graph.num_vertices:
-        nxt, pair = rng.choice(incident[cur])
-        if entered[nxt] is None and nxt != 0:
-            entered[nxt] = pair
-            seen += 1
-        cur = nxt
-    return tuple(entered[v] for v in range(1, graph.num_vertices))
+    draw = rng.random
+    nbrs, cum, bundles = graph.walk_tables
+    psi = graph.num_vertices
+    root = max(range(psi), key=lambda v: cum[v][-1] if cum[v] else 0)
+    in_tree = bytearray(psi)
+    in_tree[root] = 1
+    exit_of = [0] * psi  # index into the vertex's tables of its last exit
+    for start in range(psi):
+        u = start
+        while not in_tree[u]:
+            weights = cum[u]
+            # as random.choices does: clamp a float that rounds up to the total
+            k = bisect_right(weights, draw() * weights[-1], 0, len(weights) - 1)
+            exit_of[u] = k
+            u = nbrs[u][k]
+        u = start
+        while not in_tree[u]:  # loops erased: follow the last exits
+            in_tree[u] = 1
+            u = nbrs[u][exit_of[u]]
+    tree = []
+    for v in range(psi):
+        if v != root:
+            bundle = bundles[v][exit_of[v]]
+            tree.append(bundle[rng.randrange(len(bundle))])
+    return tuple(tree)
 
 
 def greedy_connected_subgraph(cycles: CycleSet, tables, factors, basis, rep) -> AdjacencyGraph:

@@ -51,3 +51,20 @@ def locate_state(v: int, basis: StateBasis, factors, cycles: CycleSet) -> int:
     canon = canonical_shifts(flags, shifts, orders)
     period = lcm(*(e for a, e in zip(flags, orders) if a))
     return cycles.index_of(CycleDescriptor(tuple(flags), tuple(indices), canon, period))
+
+
+def cycle_labels(reg: Lfsr) -> list[int]:
+    """Per state, a label shared exactly by the states of one cycle.
+
+    Found by stepping the register from every unlabelled state until
+    the walk comes back; no cycle enumeration from the package is used.
+    """
+    labels = [-1] * (1 << reg.n)
+    count = 0
+    for v in range(1 << reg.n):
+        while labels[v] < 0:
+            labels[v] = count
+            v = reg.step(v)
+        if labels[v] == count:
+            count += 1
+    return labels

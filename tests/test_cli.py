@@ -344,3 +344,28 @@ def test_sample_on_disconnected_graph_exits_before_any_output(monkeypatch, capsy
     assert code == 2
     assert out == ""
     assert "disconnected" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("generate", "--initial-state", "01x1"), "cannot parse state"),
+        (("generate", "--initial-state", "11111111"), "initial state must have 7 bits"),
+        (("generate", "--partial", "--initial-state", "01x1"), "cannot parse state"),
+        (("generate", "--partial", "--initial-state", "11111111"), "must have 7 bits"),
+        (("sample", "--initial-state", "01x1"), "cannot parse state"),
+        (("sample", "--initial-state", "11111111"), "initial state must have 7 bits"),
+        (("generate", "--tree-index", "-1"), "--tree-index must be nonnegative"),
+        (("generate", "--partial", "--tree-index", "-3"), "--tree-index must be nonnegative"),
+    ],
+)
+def test_bad_arguments_are_rejected_before_the_graph_build(monkeypatch, capsys, argv, message):
+    def built(self):
+        raise AssertionError("built the graph before checking the arguments")
+
+    monkeypatch.setattr(FactoredLfsr, "graph", built)
+    monkeypatch.setattr(FactoredLfsr, "greedy_tree", built)
+    code, out, err = run(capsys, *argv, "--factors", "11,111,11111")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err

@@ -2,6 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from cyclejoin.adjacency import AdjacencyGraph, ConjugatePair, best_count
 from cyclejoin.joining import (
@@ -17,6 +20,8 @@ from cyclejoin.joining import (
 )
 from cyclejoin.lfsr import Lfsr
 from cyclejoin.pipeline import FactoredLfsr
+from state_oracle import cycle_labels
+from test_pair_search import factor_sets
 
 N7 = "11,111,11111"
 ROW3 = "11,1101,11001"  # 8 cycles, 15 condensed trees, 926016 sequences
@@ -184,16 +189,24 @@ def test_random_spanning_tree_deterministic_and_valid():
     assert verify_de_bruijn(seq.bits, inst.n)
 
 
-def test_sampler_incidence_is_built_once_in_edge_order():
+def test_sampler_walk_tables_are_built_once_in_edge_order():
     # seeded draws index these lists, so their order fixes every sampled tree
     g = FactoredLfsr.from_strings(ROW3).graph()
-    expected = [[] for _ in range(g.num_vertices)]
+    nbrs, cum, bundles = g.walk_tables
+    want_nbrs = [[] for _ in range(g.num_vertices)]
+    want_bundles = [[] for _ in range(g.num_vertices)]
     for (a, b), pairs in g.edges.items():
-        for p in pairs:
-            expected[a].append((b, p))
-            expected[b].append((a, p))
-    assert g.incidence == expected
-    assert g.incidence is g.incidence
+        want_nbrs[a].append(b)
+        want_nbrs[b].append(a)
+        want_bundles[a].append(pairs)
+        want_bundles[b].append(pairs)
+    assert nbrs == want_nbrs
+    assert bundles == want_bundles
+    for v in range(g.num_vertices):
+        steps = [hi - lo for lo, hi in zip([0] + cum[v], cum[v])]
+        assert steps == [g.multiplicity(v, u) for u in nbrs[v]]
+        assert all(b is g.edges[min(v, u), max(v, u)] for u, b in zip(nbrs[v], bundles[v]))
+    assert g.walk_tables is g.walk_tables
 
 
 def test_connectivity_is_searched_once_per_graph(monkeypatch):
@@ -236,6 +249,73 @@ def test_random_spanning_tree_uniform_over_condensed_projection():
         p = w / zg
         sigma = math.sqrt(samples * p * (1 - p))
         assert abs(counts[k] - samples * p) <= 3 * sigma
+
+
+def test_random_spanning_tree_uniform_over_all_g_trees():
+    # every one of the 104 multigraph trees equally likely: Pearson's
+    # chi-square over all of them, critical value at alpha = 0.001
+    g = FactoredLfsr.from_strings("1011,10011").graph()
+    index = {frozenset(t): k for k, t in enumerate(g_trees(g))}
+    assert len(index) == 104 == best_count(g)
+    rng = random.Random(7)
+    per_tree = 200
+    counts = [0] * len(index)
+    for _ in range(per_tree * len(index)):
+        counts[index[frozenset(random_spanning_tree(g, rng))]] += 1
+    stat = sum((c - per_tree) ** 2 / per_tree for c in counts)
+    assert stat < chi2.ppf(0.999, len(index) - 1)
+
+
+class CountingDraws(random.Random):
+    """random.Random that counts the calls the sampler draws with."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+def test_random_spanning_tree_roots_its_walk_at_the_heaviest_vertex():
+    # stream-n16: vertex 0 is the zero cycle, a leaf of weight 1 among
+    # 62,816 pair ends, so every walk rooted there must find that one
+    # edge.  Seed 1 takes 2,366 draws for 20 trees from the heaviest
+    # vertex and 1,577,463 from vertex 0.
+    g = FactoredLfsr.from_strings("1001001,10000001111").graph()
+    rng = CountingDraws(1)
+    trees = [random_spanning_tree(g, rng) for _ in range(20)]
+    assert all(len(t) == g.num_vertices - 1 for t in trees)
+    assert rng.draws < 20_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_sets(), st.integers(0, 2**32 - 1))
+def test_drawn_tree_joins_every_cycle_into_a_de_bruijn_sequence(polys, seed):
+    inst = FactoredLfsr(polys)
+    tree = random_spanning_tree(inst.graph(), seed)
+    assert len(tree) == inst.psi - 1
+    # the pairs must connect the cycles found by stepping every state
+    labels = cycle_labels(inst.lfsr)
+    parent = {c: c for c in labels}
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for p in tree:
+        assert p.v ^ p.v_hat == 1
+        parent[find(labels[p.v])] = find(labels[p.v_hat])
+    assert len({find(c) for c in parent}) == 1
+    # a plain window set over the cyclic sequence
+    bits = join_cycles(tree, inst.lfsr).bits
+    n = inst.n
+    wrapped = bits + bits[: n - 1]
+    assert len({wrapped[i : i + n] for i in range(len(bits))}) == len(bits) == 1 << n
 
 
 def test_greedy_tree_spans_and_joins():

@@ -5,7 +5,8 @@ decoding do not depend on the host's locale.  RECORDED holds the exit
 code, stdout and stderr of the line-by-line check that the current
 streamed one replaced (one `str.strip("01")` scan in the command and
 one in `verify_de_bruijn`, every line held in memory); they must stay
-byte for byte the same.
+byte for byte the same.  The one exception is `order_zero`: that check
+ignored `--order 0`, so its entry was recorded after the fix.
 """
 
 import os
@@ -56,6 +57,7 @@ CASES = {
     "order_below": (("--order", "2"), f"{DB3}\n0011\n".encode(), False),
     "order_above": (("--order", "4"), f"{DB3}\n{DB4}\n".encode(), False),
     "order_negative": (("--order", "-2"), f"{DB3}\n".encode(), False),
+    "order_zero": (("--order", "0"), f"{DB3}\n".encode(), False),
     "order_huge": (("--order", "99"), f"{DB3}\n".encode(), False),
     "json": (("--format", "json"), f"{DB3}\n{NOT_DB3}\n{DB4}\n0\n".encode(), False),
     "json_all_valid": (("--format", "json"), f"{DB3}\n{DB4}\n".encode(), False),
@@ -109,6 +111,7 @@ RECORDED = {
     "order_equal": (0, b"sequence 1: order 3: ok\nsequence 2: order 3: ok\n", b""),
     "order_huge": (1, b"sequence 1: order 99: FAIL\n", b""),
     "order_negative": (1, b"sequence 1: order -2: FAIL\n", b""),
+    "order_zero": (1, b"sequence 1: order 0: FAIL\n", b""),
     "order_zero_lines": (1, b"sequence 1: order 0: FAIL\nsequence 2: order 0: FAIL\n", b""),
     "stdin": (
         1,
