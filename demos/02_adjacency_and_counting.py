@@ -2,10 +2,11 @@
 """Conjugate pairs, the adjacency graph, and exact sequence counts.
 
 Two cycles are adjacent when one holds a state v whose conjugate
-(v with the first bit flipped) lies on the other.  Each shared pair is
-an edge, and the number of constructible de Bruijn sequences equals the
-number of spanning trees of this multigraph (the BEST theorem), taken
-as a cofactor of its degree-minus-adjacency matrix on exact integers.
+v ^ 1 (v with the first bit flipped) lies on the other.  Each shared
+pair is an edge, stored as v, and the number of constructible de Bruijn
+sequences equals the number of spanning trees of this multigraph (the
+BEST theorem), taken as a cofactor of its degree-minus-adjacency
+matrix on exact integers.
 """
 
 from cyclejoin import FactoredLfsr, best_count, int_log2, state_to_str
@@ -21,10 +22,10 @@ for (a, b), pairs in sorted(graph.edges.items()):
     print(f"  {{V{a + 1},V{b + 1}}}: {len(pairs)}")
 print()
 
-one = graph.edges[(0, inst.cycles.special_index)][0]
+v = graph.edges[(0, inst.cycles.special_index)][0]
 print(
     "the zero cycle touches exactly one cycle, through the pair "
-    f"({state_to_str(one.v, 7)}, {state_to_str(one.v_hat, 7)})"
+    f"({state_to_str(v, 7)}, {state_to_str(v ^ 1, 7)})"
 )
 print()
 

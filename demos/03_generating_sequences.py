@@ -29,8 +29,8 @@ print()
 
 print("the first tree's conjugate pairs and the feedback they induce:")
 tree = trees[0]
-for p in tree:
-    print(f"  {state_to_str(p.v, inst.n)} / {state_to_str(p.v_hat, inst.n)}")
+for v in tree:
+    print(f"  {state_to_str(v, inst.n)} / {state_to_str(v ^ 1, inst.n)}")
 fb = feedback_function(tree, inst.lfsr)
 print(f"  next bit = {fb}")
 print()

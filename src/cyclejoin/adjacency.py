@@ -1,9 +1,10 @@
 """Conjugate pairs, the adjacency graph, and spanning-tree counts.
 
 A conjugate pair is a state v together with v + S, where S is the
-special state (1, 0, ..., 0); the two differ only in their first bit.
-Cycles sharing such a pair are adjacent, and the adjacency graph G has
-the cycles as vertices with one edge per shared pair.  Joining along a
+special state (1, 0, ..., 0); the two differ only in their first bit,
+so a pair is stored as the int v and its partner is v ^ 1.  Cycles
+sharing such a pair are adjacent, and the adjacency graph G has the
+cycles as vertices with one edge per shared pair.  Joining along a
 spanning tree of G produces a de Bruijn sequence, so counting the
 sequences constructible from the register is counting spanning trees
 (the BEST theorem: any cofactor of the degree-minus-adjacency matrix).
@@ -29,9 +30,11 @@ The tables are grouped by those residues once and the groups keep table
 order, so the pairs come out in the product's lexicographic order.
 Every partial tuple visited is compatible as far as it goes, so the
 work grows with the pairs found rather than with the product.  The
-joint state v is the XOR of one basis image per level (compose is
-linear), read from the factor's orbit table and the basis's per-factor
-image table.
+zero cycle takes no special case: its side reads each table's zero
+row, which pins the other side to the cycle through S.  The joint
+state v is the XOR of one basis image per level (compose is linear),
+read from the factor's orbit table and the basis's per-factor image
+table.
 """
 
 import math
@@ -41,13 +44,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .cycles import CycleDescriptor, CycleSet, canonical_shifts, merge_congruence
 from .lfsr import StateBasis
 
 __all__ = [
-    "ConjugatePair",
     "SpecialStateRep",
     "represent_special_state",
     "LocalPairTable",
@@ -61,13 +62,6 @@ __all__ = [
 ]
 
 SPECIAL_STATE = 1  # (1, 0, ..., 0) at any width
-
-
-class ConjugatePair(NamedTuple):
-    """A state and its conjugate; they differ exactly in bit 0."""
-
-    v: int
-    v_hat: int
 
 
 @dataclass(frozen=True)
@@ -172,18 +166,9 @@ def build_local_tables(factors, rep: SpecialStateRep) -> list[LocalPairTable]:
 
 
 def _iter_pairs(c1, c2, tables, factors, basis, rep, include_same=False):
-    """Yield conjugate pairs between two cycles, v taken on c1's side."""
+    """Yield conjugate pairs between two cycles as their states v on c1's side."""
     if c1 == c2 and not include_same:
         raise ValueError("conjugate pairs are reported between distinct cycles only")
-    # the zero cycle is adjacent exactly to the cycle through S, by one pair
-    if not any(c1.flags):
-        if c2 == rep.descriptor:
-            yield ConjugatePair(0, SPECIAL_STATE)
-        return
-    if not any(c2.flags):
-        if c1 == rep.descriptor:
-            yield ConjugatePair(SPECIAL_STATE, 0)
-        return
     if any(not a and not b for a, b in zip(c1.flags, c2.flags)):
         return  # some factor missing on both sides: sums cannot reach S
     levels = []
@@ -219,8 +204,7 @@ def _descend(levels, i, r1, r2, v):
     opts = groups.get(((r1 + l1) % g1, (r2 + l2) % g2), ())
     if i + 1 == len(levels):
         for u, _ in opts:
-            vx = v ^ images[orbit[u]]
-            yield ConjugatePair(vx, vx ^ SPECIAL_STATE)
+            yield v ^ images[orbit[u]]
         return
     for u, w in opts:
         yield from _descend(
@@ -232,7 +216,7 @@ def _descend(levels, i, r1, r2, v):
         )
 
 
-def conjugate_pairs(c1, c2, tables, factors, basis, rep) -> tuple[ConjugatePair, ...]:
+def conjugate_pairs(c1, c2, tables, factors, basis, rep) -> tuple[int, ...]:
     """All conjugate pairs shared by two distinct cycles.
 
     Every tuple of per-factor local pairs whose shifts satisfy the
@@ -249,7 +233,7 @@ def conjugate_pairs(c1, c2, tables, factors, basis, rep) -> tuple[ConjugatePair,
 
 
 def first_conjugate_pair(c1, c2, tables, factors, basis, rep):
-    """First conjugate pair between two cycles, or None; stops at the first hit."""
+    """First conjugate pair's v between two cycles, or None; stops at the first hit."""
     return next(_iter_pairs(c1, c2, tables, factors, basis, rep), None)
 
 
@@ -257,13 +241,14 @@ def first_conjugate_pair(c1, c2, tables, factors, basis, rep):
 class AdjacencyGraph:
     """Multigraph over cycle indices with conjugate-pair edge labels.
 
-    ``edges`` maps (i, j) with i < j to the tuple of shared pairs; the
-    pair's v lies on the lower-indexed cycle.  The condensed view keeps
-    one edge per adjacent pair of vertices (multiplicity folded to 1).
+    ``edges`` maps (i, j) with i < j to the tuple of shared pairs, each
+    stored as its state v on cycle i; the partner v ^ 1 lies on cycle j.
+    The condensed view keeps one edge per adjacent pair of vertices
+    (multiplicity folded to 1).
     """
 
     num_vertices: int
-    edges: dict[tuple[int, int], tuple[ConjugatePair, ...]]
+    edges: dict[tuple[int, int], tuple[int, ...]]
 
     def multiplicity(self, i: int, j: int) -> int:
         if i > j:
@@ -271,9 +256,7 @@ class AdjacencyGraph:
         return len(self.edges.get((i, j), ()))
 
     @cached_property
-    def walk_tables(
-        self,
-    ) -> tuple[list[list[int]], list[list[int]], list[list[tuple[ConjugatePair, ...]]]]:
+    def walk_tables(self) -> tuple[list[list[int]], list[list[int]], list[list[tuple[int, ...]]]]:
         """Per vertex, in edge order: neighbors, cumulative multiplicities, pair bundles.
 
         The condensed graph weighted by multiplicity, as the sampler's

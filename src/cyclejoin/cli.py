@@ -216,7 +216,7 @@ def _emit_sequences(inst, trees, init: int, args) -> int:
             out.write((", " if k else "") + json.dumps(s.packed_hex() if args.hex else s.bits))
             if args.provenance:
                 trees_doc.append(
-                    [[state_to_str(p.v, inst.n), state_to_str(p.v_hat, inst.n)] for p in s.pairs]
+                    [[state_to_str(v, inst.n), state_to_str(v ^ 1, inst.n)] for v in s.pairs]
                 )
         out.write("]")
         if args.provenance:
@@ -227,7 +227,7 @@ def _emit_sequences(inst, trees, init: int, args) -> int:
     for tree in trees:
         s = join_cycles(tree, inst.lfsr, init)
         if args.provenance:
-            pairs = " ".join(f"{state_to_str(p.v, inst.n)}/{state_to_str(p.v_hat, inst.n)}" for p in s.pairs)
+            pairs = " ".join(f"{state_to_str(v, inst.n)}/{state_to_str(v ^ 1, inst.n)}" for v in s.pairs)
             print(f"# tree: {pairs}")
         print(s.packed_hex() if args.hex else s.bits)
     return 0
@@ -245,12 +245,11 @@ def cmd_generate(args) -> int:
         tree_graph = inst.greedy_tree()
         pairs = tuple(ps[0] for ps in tree_graph.edges.values())
         return _emit_sequences(inst, [pairs], init, args)
-    trees = list(
-        itertools.islice(g_trees(inst.graph()), args.tree_index, args.tree_index + args.limit)
-    )
-    if not trees:
+    trees = g_trees(inst.graph(), args.limit, args.tree_index)
+    first = next(trees, None)
+    if first is None:
         raise ValueError("tree index is past the last spanning tree")
-    return _emit_sequences(inst, trees, init, args)
+    return _emit_sequences(inst, itertools.chain([first], trees), init, args)
 
 
 def cmd_sample(args) -> int:

@@ -10,8 +10,10 @@ search: visit vertices in ascending order, and for the unvisited
 neighbors of the current vertex branch over every subset (ascending
 bitmask, empty set first).  Each branch attaches the chosen subset to
 the tree, so leaves at psi - 1 edges are exactly the spanning trees,
-each produced once.  The enumeration is lazy because the counts grow
-far beyond anything enumerable; callers take what they need.
+each produced once.  A multigraph tree picks one pair, stored as its
+state v, from each bundle of a condensed tree.  The enumeration is lazy
+because the counts grow far beyond anything enumerable; callers take
+what they need.
 
 Uniform random G-trees come from Wilson's loop-erased walk on the
 condensed graph, each edge weighted by its multiplicity and the walk
@@ -28,19 +30,19 @@ all 2^n cyclic windows out of one big integer.
 """
 
 import itertools
+import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import getitem
 
-from .adjacency import AdjacencyGraph, ConjugatePair, first_conjugate_pair
+from .adjacency import AdjacencyGraph, first_conjugate_pair
 from .cycles import CycleSet
 from .lfsr import Lfsr, state_to_str
 
 __all__ = [
     "spanning_trees",
     "tree_multiplicity",
-    "expand_tree",
-    "tree_expansions",
     "g_trees",
     "random_spanning_tree",
     "greedy_connected_subgraph",
@@ -149,37 +151,48 @@ def tree_multiplicity(graph: AdjacencyGraph, tree) -> int:
     return m
 
 
-def expand_tree(tree, graph: AdjacencyGraph, selector) -> tuple[ConjugatePair, ...]:
-    """Pick one conjugate pair per bundled edge; selector[i] indexes edge i's bundle."""
-    out = []
-    for e, pick in zip(tree, selector, strict=True):
-        bundle = graph.edges[_edge_key(e)]
-        if not 0 <= pick < len(bundle):
-            raise IndexError(f"selector {pick} out of range for edge {e} with {len(bundle)} pairs")
-        out.append(bundle[pick])
-    return tuple(out)
+def g_trees(graph: AdjacencyGraph, limit: int | None = None, start: int = 0):
+    """Stream the multigraph spanning trees in deterministic order, from the start-th.
 
-
-def tree_expansions(graph: AdjacencyGraph, tree):
-    """All multigraph trees condensing to `tree`, in selector-lexicographic order."""
-    ranges = [range(len(graph.edges[_edge_key(e)])) for e in tree]
-    for selector in itertools.product(*ranges):
-        yield expand_tree(tree, graph, selector)
-
-
-def g_trees(graph: AdjacencyGraph, limit: int | None = None):
-    """Stream every multigraph spanning tree in deterministic order."""
-    stream = (
-        expanded
-        for tree in spanning_trees(graph)
-        for expanded in tree_expansions(graph, tree)
-    )
+    Each condensed tree from spanning_trees expands to the product of
+    its edges' bundles, counted in mixed radix with the last edge
+    fastest.  The first `start` trees are skipped a whole condensed tree
+    at a time, by multiplicity, and the count inside the tree that holds
+    the start-th one begins at the remainder's digits.  Stops after
+    `limit` trees when given.
+    """
+    if start < 0:
+        raise ValueError("start must be nonnegative")
+    # called here, not in the generator, so a disconnected graph raises at once
+    stream = _expand(graph, spanning_trees(graph), start)
     if limit is not None:
         stream = itertools.islice(stream, limit)
     return stream
 
 
-def random_spanning_tree(graph: AdjacencyGraph, seed) -> tuple[ConjugatePair, ...]:
+def _expand(graph: AdjacencyGraph, condensed, start: int):
+    for tree in condensed:
+        bundles = [graph.edges[_edge_key(e)] for e in tree]
+        radix = [len(b) for b in bundles]
+        total = math.prod(radix)
+        if start >= total:
+            start -= total
+            continue
+        digits = [0] * len(radix)
+        for i in reversed(range(len(radix))):
+            start, digits[i] = divmod(start, radix[i])
+        while True:
+            yield tuple(map(getitem, bundles, digits))
+            for i in reversed(range(len(radix))):
+                digits[i] += 1
+                if digits[i] < radix[i]:
+                    break
+                digits[i] = 0
+            else:
+                break
+
+
+def random_spanning_tree(graph: AdjacencyGraph, seed) -> tuple[int, ...]:
     """A uniformly random multigraph spanning tree, by Wilson's algorithm.
 
     Wilson's loop-erased walk runs on the condensed graph with each
@@ -263,7 +276,7 @@ class DeBruijnSequence:
 
     bits: str
     order: int
-    pairs: tuple[ConjugatePair, ...]
+    pairs: tuple[int, ...]
     initial_state: int
 
     def __str__(self):
@@ -288,7 +301,7 @@ def join_cycles(pairs, spec: Lfsr, init: int = 0) -> DeBruijnSequence:
     cycle of that state's conjugate, one slice per visit.
     """
     n = spec.n
-    suffixes = {p.v >> 1 for p in pairs}
+    suffixes = {v >> 1 for v in pairs}
     if len(suffixes) != len(pairs):
         raise AssertionError("conjugate pairs in a tree must have distinct suffixes")
     table = spec.cycle_table()
@@ -356,7 +369,7 @@ class FeedbackFunction:
 def feedback_function(pairs, spec: Lfsr) -> FeedbackFunction:
     """The joined register's feedback in symbolic form."""
     pairs = tuple(pairs)
-    suffixes = frozenset(p.v >> 1 for p in pairs)
+    suffixes = frozenset(v >> 1 for v in pairs)
     if len(suffixes) != len(pairs):
         raise AssertionError("conjugate pairs in a tree must have distinct suffixes")
     return FeedbackFunction(spec.poly, spec.n, suffixes)

@@ -142,7 +142,7 @@ def _oracle_edges(inst):
     edges = {}
     for i in range(inst.psi):
         for j in range(i + 1, inst.psi):
-            hits = {(v, v ^ 1) for v in orbits[i][0] if v ^ 1 in orbits[j][1]}
+            hits = {v for v in orbits[i][0] if v ^ 1 in orbits[j][1]}
             if hits:
                 edges[(i, j)] = hits
     return edges

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import random
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from cyclejoin.adjacency import AdjacencyGraph
 from cyclejoin.cli import main
+from cyclejoin.joining import verify_de_bruijn
 from cyclejoin.lfsr import state_to_str
 from cyclejoin.pipeline import FactoredLfsr
 
@@ -77,6 +79,19 @@ def test_generate_tree_index_offsets_the_stream(capsys):
         capsys, "generate", "--factors", "11,1101,11001", "--limit", "2", "--tree-index", "3"
     )
     assert out2.strip().splitlines() == out.strip().splitlines()[3:5]
+
+
+def test_generate_reaches_a_large_tree_index_in_one_pass(capsys):
+    # tree 10^8 of 12,485,394,432 lies 34,667 condensed trees in;
+    # taking the trees before it one at a time ran for hours
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "generate", "--factors", "11,111,11111", "--tree-index", "100000000", "--limit", "2"
+    )
+    assert code == 0 and time.perf_counter() - start < 30
+    lines = out.split()
+    assert len(lines) == 2 and lines[0] != lines[1]
+    assert all(verify_de_bruijn(line, 7) for line in lines)
 
 
 def test_generate_initial_state_and_hex(capsys):
@@ -302,7 +317,7 @@ def test_json_output_streams_each_sequence(monkeypatch, argv):
     doc = {"n": inst.n, "psi": inst.psi, "sequences": [shown(s) for s in joined]}
     if "--provenance" in argv:
         doc["trees"] = [
-            [[state_to_str(p.v, inst.n), state_to_str(p.v_hat, inst.n)] for p in s.pairs]
+            [[state_to_str(v, inst.n), state_to_str(v ^ 1, inst.n)] for v in s.pairs]
             for s in joined
         ]
     assert buf.getvalue() == json.dumps(doc) + "\n"
@@ -335,6 +350,35 @@ def test_sample_draws_each_tree_just_before_its_join(monkeypatch, fmt):
     rng = random.Random(9)
     graph = FactoredLfsr.from_strings("11,111,11111").graph()
     assert [s.pairs for s in joined] == [real_draw(graph, rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_generate_takes_each_tree_just_before_its_join(monkeypatch, fmt):
+    from cyclejoin import cli
+
+    buf = io.StringIO()
+    joined = []
+    sequences_before_take = []
+    real_g_trees, real_join = cli.g_trees, cli.join_cycles
+
+    def g_trees(*args):
+        for tree in real_g_trees(*args):
+            sequences_before_take.append(sum(s.bits in buf.getvalue() for s in joined))
+            yield tree
+
+    def join(tree, lfsr, init):
+        joined.append(real_join(tree, lfsr, init))
+        return joined[-1]
+
+    monkeypatch.setattr(cli, "g_trees", g_trees)
+    monkeypatch.setattr(cli, "join_cycles", join)
+    # trees 502-504 cross from the first condensed tree (504 trees) into the second
+    argv = ["generate", "--factors", "11,1101,11001", "--limit", "3", "--tree-index", "502"]
+    with contextlib.redirect_stdout(buf):
+        assert cli.main([*argv, "--format", fmt]) == 0
+    assert sequences_before_take == [0, 1, 2]
+    graph = FactoredLfsr.from_strings("11,1101,11001").graph()
+    assert [s.pairs for s in joined] == list(itertools.islice(real_g_trees(graph), 502, 505))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

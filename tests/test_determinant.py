@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from cyclejoin.adjacency import (
     AdjacencyGraph,
-    ConjugatePair,
     _is_prime,
     _pack,
     _pivoted_det_mod,
@@ -116,9 +115,7 @@ def multigraphs(draw):
         for b in range(a + 1, psi):
             if draw(st.floats(0.0, 1.0)) < density:
                 mult = draw(st.integers(1, 4))
-                edges[(a, b)] = tuple(
-                    ConjugatePair(2 * (label + k), 2 * (label + k) + 1) for k in range(mult)
-                )
+                edges[(a, b)] = tuple(2 * (label + k) for k in range(mult))
                 label += mult
     return AdjacencyGraph(psi, edges)
 
@@ -134,7 +131,7 @@ def test_drawn_multigraphs_match_references(graph):
 
 def _two_triangles():
     # every diagonal entry of the minor is positive, and the minor is singular
-    edges = {(a, b): (ConjugatePair(2 * (a * 6 + b), 2 * (a * 6 + b) + 1),)
+    edges = {(a, b): (2 * (a * 6 + b),)
              for a, b in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]}
     return AdjacencyGraph(6, edges)
 

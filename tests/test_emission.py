@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclejoin.adjacency import ConjugatePair
 from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree, verify_de_bruijn
 from cyclejoin.lfsr import Lfsr, state_to_str
 from cyclejoin.pipeline import FactoredLfsr
@@ -23,7 +22,7 @@ from test_pair_search import GOLDEN
 
 def reference_join(pairs, spec: Lfsr, init: int = 0) -> str:
     n = spec.n
-    suffixes = {p.v >> 1 for p in pairs}
+    suffixes = {v >> 1 for v in pairs}
     out = []
     state = init
     taps, top = spec.taps, n - 1
@@ -60,7 +59,7 @@ def lyndon_de_bruijn(n: int) -> str:
 
 
 def pairs_for(suffixes):
-    return tuple(ConjugatePair(w << 1, w << 1 | 1) for w in suffixes)
+    return tuple(w << 1 for w in suffixes)
 
 
 # ---- the spliced join -------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,15 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from cyclejoin.adjacency import AdjacencyGraph, ConjugatePair, best_count
+from cyclejoin.adjacency import AdjacencyGraph, best_count
 from cyclejoin.joining import (
-    expand_tree,
     feedback_function,
     g_trees,
     join_cycles,
     random_spanning_tree,
     spanning_trees,
-    tree_expansions,
     tree_multiplicity,
     verify_de_bruijn,
 )
@@ -34,7 +33,7 @@ def _toy_graph(edge_multiplicities):
     for (a, b), m in edge_multiplicities.items():
         bundle = []
         for _ in range(m):
-            bundle.append(ConjugatePair(label << 1, (label << 1) | 1))
+            bundle.append(label << 1)
             label += 1
         edges[(a, b)] = tuple(bundle)
     n = 1 + max(max(e) for e in edges)
@@ -77,25 +76,61 @@ def test_tree_counts_cross_check_matrix_tree():
         assert sum(tree_multiplicity(g, t) for t in trees) == best_count(g)
 
 
+def _bundles(g, tree):
+    return [g.edges[tuple(sorted(e))] for e in tree]
+
+
+def _product_stream(g):
+    """The G-tree order by definition: each condensed tree's bundles in itertools.product order."""
+    for tree in spanning_trees(g):
+        yield from itertools.product(*_bundles(g, tree))
+
+
 def test_expansions():
     g = _toy_graph({(0, 1): 2, (1, 2): 3})
     tree = ((0, 1), (1, 2))
+    assert list(spanning_trees(g)) == [tree]
     assert tree_multiplicity(g, tree) == 6
-    all_expanded = list(tree_expansions(g, tree))
+    a, b = g.edges[(0, 1)], g.edges[(1, 2)]
+    all_expanded = list(g_trees(g))
     assert len(all_expanded) == 6 and len(set(all_expanded)) == 6
-    assert expand_tree(tree, g, (0, 0)) == all_expanded[0]
-    with pytest.raises(IndexError):
-        expand_tree(tree, g, (2, 0))
+    # mixed radix over the bundles, last edge fastest
+    assert all_expanded == [(x, y) for x in a for y in b]
     # unique expansion when every multiplicity is 1
     g1 = _toy_graph({(0, 1): 1, (1, 2): 1})
-    assert list(tree_expansions(g1, tree)) == [expand_tree(tree, g1, (0, 0))]
+    assert list(g_trees(g1)) == [(g1.edges[(0, 1)][0], g1.edges[(1, 2)][0])]
+
+
+@pytest.mark.parametrize("facs", [ROW3, N7])
+def test_g_trees_start_matches_islice(facs):
+    g = FactoredLfsr.from_strings(facs).graph()
+    first, second = (tree_multiplicity(g, t) for t in spanning_trees(g, limit=2))
+    # inside the first condensed tree, on both sides of its end, inside
+    # the second tree, and several condensed trees in
+    starts = [0, 1, 5, 17, first - 1, first, first + 1, first + second // 2, first + second - 1]
+    starts += [2500, 8000, 20000]
+    for k in starts:
+        want = list(itertools.islice(g_trees(g), k, k + 200))
+        assert list(g_trees(g, 200, k)) == want
+        assert want == list(itertools.islice(_product_stream(g), k, k + 200))
+
+
+def test_g_trees_start_at_the_end():
+    g = FactoredLfsr.from_strings(ROW3).graph()
+    *_, last = spanning_trees(g)
+    zg = best_count(g)
+    assert list(g_trees(g, start=zg - 1)) == [tuple(b[-1] for b in _bundles(g, last))]
+    assert list(g_trees(g, start=zg)) == []
+    with pytest.raises(ValueError):
+        g_trees(g, start=-1)
 
 
 def test_g_tree_stream_total_count():
     g = FactoredLfsr.from_strings(ROW3).graph()
     seen = set()
     count = 0
-    for t in g_trees(g):
+    for t, want in itertools.zip_longest(g_trees(g), _product_stream(g)):
+        assert t == want
         count += 1
         seen.add(t)
     assert count == 926016 == len(seen) == best_count(g)
@@ -127,7 +162,7 @@ def test_join_distinct_trees_distinct_sequences():
     inst = FactoredLfsr.from_strings(ROW3)
     g = inst.graph()
     seqs = [
-        join_cycles(expand_tree(t, g, (0,) * len(t)), inst.lfsr).bits
+        join_cycles([b[0] for b in _bundles(g, t)], inst.lfsr).bits
         for t in spanning_trees(g)
     ]
     assert len(seqs) == 15 and len(set(seqs)) == 15
@@ -166,7 +201,7 @@ def test_feedback_function_rendering():
     reg = Lfsr(0b1011)
     fb = feedback_function((), reg)
     assert str(fb) == "x0 + x1"
-    all_ones = ConjugatePair(0b110, 0b111)  # suffix (1, 1)
+    all_ones = 0b110  # suffix (1, 1)
     fb2 = feedback_function((all_ones,), reg)
     assert fb2.suffixes == frozenset({0b11})
     assert str(fb2) == "x0 + x1 + x1*x2"
@@ -307,9 +342,9 @@ def test_drawn_tree_joins_every_cycle_into_a_de_bruijn_sequence(polys, seed):
             c = parent[c]
         return c
 
-    for p in tree:
-        assert p.v ^ p.v_hat == 1
-        parent[find(labels[p.v])] = find(labels[p.v_hat])
+    for v in tree:
+        assert labels[v] != labels[v ^ 1]
+        parent[find(labels[v])] = find(labels[v ^ 1])
     assert len({find(c) for c in parent}) == 1
     # a plain window set over the cyclic sequence
     bits = join_cycles(tree, inst.lfsr).bits

@@ -1,10 +1,12 @@
 """Checks against oracles that share no code with the package.
 
 networkx counts spanning trees by a floating-point Laplacian
-determinant, sympy tests irreducibility and powers of x over GF(2) with
-its own algorithms, and Berlekamp-Massey measures the linear complexity
-of the emitted sequences, which for a de Bruijn sequence of order n
-lies in [2^{n-1} + n, 2^n - 1] (Chan, Games and Key 1982).
+determinant and lists them with its own iterator, sympy tests
+irreducibility and powers of x over GF(2) with its own algorithms,
+brute-force state stepping (state_oracle) finds the register's cycles,
+and Berlekamp-Massey measures the linear complexity of the emitted
+sequences, which for a de Bruijn sequence of order n lies in
+[2^{n-1} + n, 2^n - 1] (Chan, Games and Key 1982).
 """
 
 import itertools
@@ -13,13 +15,16 @@ import random
 import networkx as nx
 import pytest
 import sympy
+from networkx.algorithms.tree.mst import SpanningTreeIterator
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
 from cyclejoin.adjacency import best_count
 from cyclejoin.gf2 import is_irreducible, is_primitive
-from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree
+from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree, spanning_trees
 from cyclejoin.pipeline import FactoredLfsr
+from state_oracle import cycle_labels
+from test_pair_search import GOLDEN
 
 # every count below 2^50, so a float determinant rounds to the exact value
 SPANNING_TREE_INSTANCES = [
@@ -61,6 +66,55 @@ def test_best_count_matches_networkx(facs):
     assert zg < 1 << 50
     assert round(nx.number_of_spanning_trees(_nx_graph(graph, True), weight="weight")) == zg
     assert round(nx.number_of_spanning_trees(_nx_graph(graph, False), weight="weight")) == zh
+
+
+def _edge_set(edges):
+    return frozenset(tuple(sorted(e)) for e in edges)
+
+
+@pytest.mark.parametrize(
+    "facs", ["11,1101,11001", pytest.param("1011,1101", marks=pytest.mark.slow)]
+)
+def test_spanning_trees_match_networkx_iterator(facs):
+    # 15 and 51,984 condensed trees; networkx lists the second in about 35 s
+    graph = FactoredLfsr.from_strings(facs).graph()
+    got = [_edge_set(t) for t in spanning_trees(graph)]
+    assert len(set(got)) == len(got)
+    want = {_edge_set(t.edges) for t in SpanningTreeIterator(_nx_graph(graph, False))}
+    assert set(got) == want
+
+
+@pytest.mark.parametrize("facs", ["11,111,11111", "10011,11111"])
+def test_spanning_tree_stream_prefix_is_distinct_networkx_trees(facs):
+    # 1,451,520 and 8,962,125,672,491,103 condensed trees, too many for
+    # networkx's iterator: the first 2,000 streamed must be distinct trees
+    graph = FactoredLfsr.from_strings(facs).graph()
+    got = [_edge_set(t) for t in spanning_trees(graph, limit=2000)]
+    assert len(got) == 2000 == len(set(got))
+    for edges in got:
+        tree = nx.Graph(edges)
+        tree.add_nodes_from(range(graph.num_vertices))
+        assert nx.is_tree(tree)
+
+
+@pytest.mark.parametrize("facs", GOLDEN)
+def test_greedy_tree_joins_the_brute_force_cycles(facs):
+    inst = FactoredLfsr.from_strings(facs)
+    labels = cycle_labels(inst.lfsr)
+    cycle_of = {labels[inst.representative(i)]: i for i in range(inst.psi)}
+    assert len(cycle_of) == inst.psi == max(labels) + 1
+    parent = list(range(inst.psi))
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for (a, b), (v,) in inst.greedy_tree().edges.items():
+        # v on cycle a, its conjugate v ^ 1 on cycle b
+        assert (cycle_of[labels[v]], cycle_of[labels[v ^ 1]]) == (a, b)
+        parent[find(a)] = find(b)
+    assert len({find(c) for c in range(inst.psi)}) == 1
 
 
 def test_is_irreducible_matches_sympy_up_to_degree_10():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclejoin import joining
-from cyclejoin.adjacency import SPECIAL_STATE, ConjugatePair, build_graph
+from cyclejoin.adjacency import SPECIAL_STATE, build_graph
 from cyclejoin.gf2 import degree, is_irreducible
 from cyclejoin.joining import greedy_connected_subgraph
 from cyclejoin.pipeline import FactoredLfsr
@@ -47,11 +47,11 @@ def reference_pairs(c1, c2, tables, factors, basis, rep):
     """Product of the local tables, filtered by the pairwise congruences."""
     if not any(c1.flags):
         if c2 == rep.descriptor:
-            yield ConjugatePair(0, SPECIAL_STATE)
+            yield 0
         return
     if not any(c2.flags):
         if c1 == rep.descriptor:
-            yield ConjugatePair(SPECIAL_STATE, 0)
+            yield SPECIAL_STATE
         return
     s = len(factors)
     if any(not a and not b for a, b in zip(c1.flags, c2.flags)):
@@ -94,7 +94,7 @@ def reference_pairs(c1, c2, tables, factors, basis, rep):
             v = basis.compose(
                 [side_states[i][combo[i][0]] if c1.flags[i] else 0 for i in range(s)]
             )
-            yield ConjugatePair(v, v ^ SPECIAL_STATE)
+            yield v
 
 
 def reference_first_pair(c1, c2, tables, factors, basis, rep):
