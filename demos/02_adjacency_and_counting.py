@@ -15,11 +15,12 @@ from cyclejoin.joining import spanning_trees, tree_multiplicity
 inst = FactoredLfsr.from_strings("11,111,11111")
 graph = inst.graph()
 
-print(f"adjacency graph on {inst.psi} cycles, {sum(len(p) for p in graph.edges.values())} edges")
+# the graph counts each bundle first; a bundle's pairs are found when read
+print(f"adjacency graph on {inst.psi} cycles, {sum(graph.multiplicities.values())} edges")
 print()
 print("pair counts (only adjacent cycles listed):")
-for (a, b), pairs in sorted(graph.edges.items()):
-    print(f"  {{V{a + 1},V{b + 1}}}: {len(pairs)}")
+for (a, b), mult in sorted(graph.multiplicities.items()):
+    print(f"  {{V{a + 1},V{b + 1}}}: {mult}")
 print()
 
 v = graph.edges[(0, inst.cycles.special_index)][0]

@@ -18,7 +18,11 @@ component states sum to its block, and a tuple of local pairs lifts to
 a real conjugate pair exactly when the per-factor shifts agree modulo
 the pairwise gcds of the active periods (the generalized CRT
 condition).  Each local table is read off the factor's orbit table:
-one pass over the factor's nonzero states, locating each partner.
+one pass over the factor's nonzero states, locating each partner.  The
+same pass records, per row, the partner rows that are nonempty, so a
+cycle's candidate partners (the cycles nonempty against it in every
+factor's table) come from the tables alone and no other cycle pair is
+probed.
 
 The tuples are found by a descent over the factors, one level each,
 instead of by filtering the full product of the tables.  Pairwise
@@ -26,26 +30,36 @@ compatibility of the shifts is the same as compatibility of each shift
 with the merged congruence of the levels above it, so each side
 carries that merged residue down, and level i only visits the local
 pairs whose shifts match it modulo gcd(e_i, lcm of the periods above).
-The tables are grouped by those residues once and the groups keep table
-order, so the pairs come out in the product's lexicographic order.
-Every partial tuple visited is compatible as far as it goes, so the
-work grows with the pairs found rather than with the product.  The
-zero cycle takes no special case: its side reads each table's zero
-row, which pins the other side to the cycle through S.  The joint
-state v is the XOR of one basis image per level (compose is linear),
-read from the factor's orbit table and the basis's per-factor image
-table.
+The CRT constants of a merge depend on one side and one level only, so
+they are computed once per cycle and each merge is a few integer
+operations.  The tables are grouped by those residues once and the
+groups keep table order, so the pairs come out in the product's
+lexicographic order.  Every partial tuple visited is compatible as far
+as it goes, so the work grows with the pairs found rather than with
+the product.  The zero cycle takes no special case: its side reads
+each table's zero row, which pins the other side to the cycle through
+S.  The joint state v is the XOR of one basis image per level (compose
+is linear), read from the factor's orbit table and the basis's
+per-factor image table.
+
+The graph knows its multiplicities first: the build counts the tuples
+at the last level of the descent and lists none.  Counting, the tree
+stream's skip and the sampler's walk read only those counts; a
+bundle's pairs are found by the same descent the first time its edge
+is read, which only emitted trees do, and kept.
 """
 
 import math
 import sys
 from array import array
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, product
 from math import gcd, lcm
 
-from .cycles import CycleDescriptor, CycleSet, canonical_shifts, merge_congruence
+from .cycles import CycleDescriptor, CycleSet, canonical_shifts
 from .lfsr import StateBasis
 
 __all__ = [
@@ -53,9 +67,11 @@ __all__ = [
     "represent_special_state",
     "LocalPairTable",
     "build_local_tables",
+    "candidate_partners",
     "conjugate_pairs",
     "first_conjugate_pair",
     "build_graph",
+    "PairBundles",
     "AdjacencyGraph",
     "best_count",
     "int_log2",
@@ -108,7 +124,8 @@ class LocalPairTable:
     ``pairs(j, k)`` lists the (u, w) with T^u states[j] + T^w states[k]
     equal to this factor's block of S, exponents in [0, e).  Index t
     stands for the zero cycle: its side contributes the zero sequence,
-    pinning the other side to the block itself.  Tables are built
+    pinning the other side to the block itself.  ``partners[j]`` lists,
+    ascending, the k with a nonempty ``pairs(j, k)``.  Tables are built
     eagerly and kept; the footprint is t^2 * e entries at worst, cheap
     at the intended scale.  ``buckets`` groups one table by shift
     residues for the pair search and keeps each grouping it builds.
@@ -121,6 +138,7 @@ class LocalPairTable:
         self.block = block
         t, e, where = factor.t, factor.order, factor.positions()
         table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        partners = [[] for _ in range(t + 1)]
         for j in range(t):
             rows = [[] for _ in range(t)]  # per partner cycle k, in u order
             for u, x in enumerate(factor.orbit(j)):
@@ -130,10 +148,14 @@ class LocalPairTable:
             for k, row in enumerate(rows):
                 if row:
                     table[(j, k)] = tuple(row)
+                    partners[j].append(k)
         # zero-cycle rows: the nonzero side must be the block's own cycle
         table[(t, self.d)] = ((0, self.c),)
         table[(self.d, t)] = ((self.c, 0),)
+        partners[t].append(self.d)
+        partners[self.d].append(t)  # t is above every nonzero index: still ascending
         self._table = table
+        self.partners = partners
         self._buckets = {}
 
     def pairs(self, j: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -165,42 +187,115 @@ def build_local_tables(factors, rep: SpecialStateRep) -> list[LocalPairTable]:
     ]
 
 
-def _iter_pairs(c1, c2, tables, factors, basis, rep, include_same=False):
+def _table_key(c: CycleDescriptor, tables) -> tuple[int, ...]:
+    """Per factor, the cycle's row in the local table: its index, or t if inactive."""
+    return tuple(j if a else tbl.factor.t for a, j, tbl in zip(c.flags, c.indices, tables))
+
+
+def candidate_partners(cycles: CycleSet, tables) -> list[list[int]]:
+    """Per cycle, ascending, the cycles it may share a conjugate pair with.
+
+    A pair needs a local pair in every factor, so the candidates of a
+    cycle are the cycles whose table keys are nonempty against its own
+    in every factor's table: the product of the tables' partner lists,
+    each key standing for every shift of its component cycles.  Cycles
+    with one key share one list.  Two sides both inactive in some factor
+    have no row there, so such pairs never come up.
+    """
+    keys = [_table_key(c, tables) for c in cycles]
+    members = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    lists = {
+        key: sorted(
+            chain.from_iterable(
+                members[k] for k in product(*(tbl.partners[j] for tbl, j in zip(tables, key)))
+            )
+        )
+        for key in members
+    }
+    return [lists[key] for key in keys]
+
+
+def _side(c: CycleDescriptor, factors) -> list[tuple[int, int, int, int, int]]:
+    """Per level, one side's shift and CRT constants (l, g, m, q, inv).
+
+    m is the lcm of the side's active periods above the level and p the
+    level's own period (1 if inactive); g = gcd(p, m), q = p // g and
+    inv is (m // g)^-1 mod q.  Merging r (mod m) with u - l (mod p),
+    given u - l = r (mod g), is then r + m * ((u - l - r) // g * inv % q),
+    already reduced modulo lcm(m, p) = m * q.
+    """
+    out = []
+    m = 1
+    for a, l, f in zip(c.flags, c.shifts, factors):
+        p = f.order if a else 1
+        g = gcd(p, m)
+        q = p // g
+        out.append((l, g, m, q, pow(m // g, -1, q)))
+        m *= q
+    return out
+
+
+def _levels(key1, side1, key2, side2, tables) -> list[tuple]:
+    """The descent's levels between two sides: residue groups plus both sides' constants."""
+    return [
+        (tbl.buckets(j, k, s1[1], s2[1]), *s1, *s2)
+        for tbl, j, k, s1, s2 in zip(tables, key1, key2, side1, side2)
+    ]
+
+
+def _count(levels, i: int, r1: int, r2: int) -> int:
+    """Number of pairs below level i, given each side's merged residue."""
+    groups, l1, g1, m1, q1, inv1, l2, g2, m2, q2, inv2 = levels[i]
+    opts = groups.get(((r1 + l1) % g1, (r2 + l2) % g2), ())
+    i += 1
+    if i == len(levels):
+        return len(opts)
+    total = 0
+    if i + 1 < len(levels):
+        for u, w in opts:
+            total += _count(
+                levels,
+                i,
+                r1 + m1 * ((u - l1 - r1) // g1 * inv1 % q1),
+                r2 + m2 * ((w - l2 - r2) // g2 * inv2 % q2),
+            )
+        return total
+    # the next level is the last: count its groups here, one call fewer per tuple
+    last, n1, h1, _, _, _, n2, h2, _, _, _ = levels[i]
+    for u, w in opts:
+        total += len(
+            last.get(
+                (
+                    (r1 + m1 * ((u - l1 - r1) // g1 * inv1 % q1) + n1) % h1,
+                    (r2 + m2 * ((w - l2 - r2) // g2 * inv2 % q2) + n2) % h2,
+                ),
+                (),
+            )
+        )
+    return total
+
+
+def _iter_pairs(c1, c2, tables, factors, basis):
     """Yield conjugate pairs between two cycles as their states v on c1's side."""
-    if c1 == c2 and not include_same:
-        raise ValueError("conjugate pairs are reported between distinct cycles only")
-    if any(not a and not b for a, b in zip(c1.flags, c2.flags)):
-        return  # some factor missing on both sides: sums cannot reach S
-    levels = []
-    m1 = m2 = 1  # lcm of the active periods above this level, per side
-    for i, f in enumerate(factors):
-        a1, a2 = c1.flags[i], c2.flags[i]
-        p1 = f.order if a1 else 1
-        p2 = f.order if a2 else 1
-        g1, g2 = gcd(p1, m1), gcd(p2, m2)
-        groups = tables[i].buckets(
-            c1.indices[i] if a1 else f.t, c2.indices[i] if a2 else f.t, g1, g2
-        )
-        if not groups:
-            return
-        if a1:
-            orbit, images = f.orbit(c1.indices[i]), basis.slot_images(i)
-        else:
-            orbit = images = _ZERO_ORBIT
-        levels.append(
-            (groups, g1, g2, c1.shifts[i], c2.shifts[i], p1, p2, m1, m2, orbit, images)
-        )
-        m1, m2 = lcm(m1, p1), lcm(m2, p2)
-    yield from _descend(levels, 0, 0, 0, 0)
+    key1, key2 = _table_key(c1, tables), _table_key(c2, tables)
+    levels = _levels(key1, _side(c1, factors), key2, _side(c2, factors), tables)
+    # an inactive v side only meets the zero-cycle row (0, c): u = 0, state 0
+    views = [
+        (f.orbit(j), basis.slot_images(i)) if a else _ZERO_VIEW
+        for i, (a, j, f) in enumerate(zip(c1.flags, c1.indices, factors))
+    ]
+    yield from _descend(levels, views, 0, 0, 0, 0)
 
 
-# an inactive v side only meets the zero-cycle row (0, c): u = 0, state 0
-_ZERO_ORBIT = (0,)
+_ZERO_VIEW = ((0,), (0,))
 
 
-def _descend(levels, i, r1, r2, v):
+def _descend(levels, views, i, r1, r2, v):
     """Pairs below level i, given each side's merged residue and v so far."""
-    groups, g1, g2, l1, l2, p1, p2, m1, m2, orbit, images = levels[i]
+    groups, l1, g1, m1, q1, inv1, l2, g2, m2, q2, inv2 = levels[i]
+    orbit, images = views[i]
     opts = groups.get(((r1 + l1) % g1, (r2 + l2) % g2), ())
     if i + 1 == len(levels):
         for u, _ in opts:
@@ -209,9 +304,10 @@ def _descend(levels, i, r1, r2, v):
     for u, w in opts:
         yield from _descend(
             levels,
+            views,
             i + 1,
-            merge_congruence(r1, m1, u - l1, p1)[0],
-            merge_congruence(r2, m2, w - l2, p2)[0],
+            r1 + m1 * ((u - l1 - r1) // g1 * inv1 % q1),
+            r2 + m2 * ((w - l2 - r2) // g2 * inv2 % q2),
             v ^ images[orbit[u]],
         )
 
@@ -229,12 +325,48 @@ def conjugate_pairs(c1, c2, tables, factors, basis, rep) -> tuple[int, ...]:
     product of the local tables, so the order is reproducible, and
     only compatible partial tuples are ever visited.
     """
-    return tuple(_iter_pairs(c1, c2, tables, factors, basis, rep))
+    if c1 == c2:
+        raise ValueError("conjugate pairs are reported between distinct cycles only")
+    return tuple(_iter_pairs(c1, c2, tables, factors, basis))
 
 
 def first_conjugate_pair(c1, c2, tables, factors, basis, rep):
     """First conjugate pair's v between two cycles, or None; stops at the first hit."""
-    return next(_iter_pairs(c1, c2, tables, factors, basis, rep), None)
+    if c1 == c2:
+        raise ValueError("conjugate pairs are reported between distinct cycles only")
+    return next(_iter_pairs(c1, c2, tables, factors, basis), None)
+
+
+class PairBundles(Mapping):
+    """Read-only map from an edge (i, j) to the pairs it bundles, found on demand.
+
+    The multiplicities are known up front, in edge order; a bundle is
+    looked up the first time its key is read and kept from then on, so
+    whatever reads only multiplicities never runs a pair descent.
+    """
+
+    def __init__(self, counts: dict[tuple[int, int], int], find):
+        self.counts = counts
+        self._find = find
+        self._found = None
+
+    def __getitem__(self, key) -> tuple[int, ...]:
+        if self._found is None:
+            # every key up front: a found bundle then reuses the stored key
+            self._found = dict.fromkeys(self.counts)
+        pairs = self._found[key]
+        if pairs is None:
+            pairs = self._found[key] = self._find(*key)
+        return pairs
+
+    def __contains__(self, key) -> bool:
+        return key in self.counts
+
+    def __iter__(self):
+        return iter(self.counts)
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
 @dataclass
@@ -243,34 +375,41 @@ class AdjacencyGraph:
 
     ``edges`` maps (i, j) with i < j to the tuple of shared pairs, each
     stored as its state v on cycle i; the partner v ^ 1 lies on cycle j.
-    The condensed view keeps one edge per adjacent pair of vertices
+    ``multiplicities`` maps the same keys, in the same order, to the
+    bundle sizes; built graphs know them without finding a pair.  The
+    condensed view keeps one edge per adjacent pair of vertices
     (multiplicity folded to 1).
     """
 
     num_vertices: int
-    edges: dict[tuple[int, int], tuple[int, ...]]
+    edges: Mapping[tuple[int, int], tuple[int, ...]]
+
+    @cached_property
+    def multiplicities(self) -> dict[tuple[int, int], int]:
+        if isinstance(self.edges, PairBundles):
+            return self.edges.counts
+        return {e: len(ps) for e, ps in self.edges.items()}
 
     def multiplicity(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i
-        return len(self.edges.get((i, j), ()))
+        return self.multiplicities.get((i, j), 0)
 
     @cached_property
-    def walk_tables(self) -> tuple[list[list[int]], list[list[int]], list[list[tuple[int, ...]]]]:
-        """Per vertex, in edge order: neighbors, cumulative multiplicities, pair bundles.
+    def walk_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per vertex, in edge order: neighbors and cumulative multiplicities.
 
         The condensed graph weighted by multiplicity, as the sampler's
-        walk reads it; built once.
+        walk reads it; built once, without finding a pair.
         """
         nbrs = [[] for _ in range(self.num_vertices)]
-        bundles = [[] for _ in range(self.num_vertices)]
-        for (a, b), pairs in self.edges.items():
+        weights = [[] for _ in range(self.num_vertices)]
+        for (a, b), mult in self.multiplicities.items():
             nbrs[a].append(b)
             nbrs[b].append(a)
-            bundles[a].append(pairs)
-            bundles[b].append(pairs)
-        cum = [list(accumulate(map(len, bs))) for bs in bundles]
-        return nbrs, cum, bundles
+            weights[a].append(mult)
+            weights[b].append(mult)
+        return nbrs, [list(accumulate(ws)) for ws in weights]
 
     def adjacency_lists(self) -> list[list[int]]:
         adj = [[] for _ in range(self.num_vertices)]
@@ -303,8 +442,8 @@ class AdjacencyGraph:
         """Degree-minus-adjacency matrix of G, or of the condensed graph."""
         psi = self.num_vertices
         m = [[0] * psi for _ in range(psi)]
-        for (a, b), ps in self.edges.items():
-            w = 1 if condensed else len(ps)
+        for (a, b), mult in self.multiplicities.items():
+            w = 1 if condensed else mult
             m[a][b] -= w
             m[b][a] -= w
             m[a][a] += w
@@ -313,19 +452,30 @@ class AdjacencyGraph:
 
 
 def build_graph(cycles: CycleSet, tables, factors, basis, rep) -> AdjacencyGraph:
-    """The full adjacency graph: all conjugate pairs between all cycle pairs.
+    """The full adjacency graph: every cycle pair's multiplicity, pairs on demand.
 
+    Only the candidate partners of each cycle are searched, and the
+    search counts the tuples at its last level instead of listing them.
+    The edges keep the order of a scan over (i, j), i < j; a bundle's
+    pairs are found by conjugate_pairs the first time its edge is read.
     Self-pairs are never looked at (the graph has no loops by
     definition, and they are useless for joining).
     """
-    edges = {}
     descs = cycles.cycles
-    for i in range(len(descs)):
-        for j in range(i + 1, len(descs)):
-            ps = conjugate_pairs(descs[i], descs[j], tables, factors, basis, rep)
-            if ps:
-                edges[(i, j)] = ps
-    return AdjacencyGraph(len(descs), edges)
+    keys = [_table_key(c, tables) for c in descs]
+    sides = [_side(c, factors) for c in descs]
+    counts = {}
+    for i, partners in enumerate(candidate_partners(cycles, tables)):
+        key, side = keys[i], sides[i]
+        for j in partners[bisect_right(partners, i) :]:
+            mult = _count(_levels(key, side, keys[j], sides[j], tables), 0, 0, 0)
+            if mult:
+                counts[(i, j)] = mult
+
+    def find(i, j):
+        return conjugate_pairs(descs[i], descs[j], tables, factors, basis, rep)
+
+    return AdjacencyGraph(len(descs), PairBundles(counts, find))
 
 
 def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:

@@ -18,13 +18,19 @@ exceed 64 bits; log2 values are annotations rounded to one decimal.
 
 import argparse
 import contextlib
-import itertools
 import json
 import random
 import sys
 
 from .adjacency import best_count, int_log2
-from .joining import g_trees, join_cycles, random_spanning_tree, verify_de_bruijn
+from .joining import (
+    g_trees,
+    join_cycles,
+    random_spanning_tree,
+    spanning_trees,
+    tree_multiplicity,
+    verify_de_bruijn,
+)
 from .lfsr import parse_state, state_to_str
 from .gf2 import degree
 from .pipeline import FactoredLfsr, parse_factors
@@ -134,7 +140,7 @@ def cmd_analyze(args) -> int:
     inst = _instance(args)
     graph = inst.graph()
     rows = _cycle_rows(inst)
-    pair_counts = [[a + 1, b + 1, len(ps)] for (a, b), ps in sorted(graph.edges.items())]
+    pair_counts = [[a + 1, b + 1, m] for (a, b), m in sorted(graph.multiplicities.items())]
     if args.format == "json":
         print(
             json.dumps(
@@ -245,11 +251,14 @@ def cmd_generate(args) -> int:
         tree_graph = inst.greedy_tree()
         pairs = tuple(ps[0] for ps in tree_graph.edges.values())
         return _emit_sequences(inst, [pairs], init, args)
-    trees = g_trees(inst.graph(), args.limit, args.tree_index)
-    first = next(trees, None)
-    if first is None:
+    graph = inst.graph()
+    trees = g_trees(graph, args.limit, args.tree_index)
+    # an index past the first condensed tree may lie past the last one, where
+    # skipping tree by tree would never end; the determinant settles it at once
+    first = next(spanning_trees(graph))
+    if args.tree_index >= tree_multiplicity(graph, first) and args.tree_index >= best_count(graph):
         raise ValueError("tree index is past the last spanning tree")
-    return _emit_sequences(inst, itertools.chain([first], trees), init, args)
+    return _emit_sequences(inst, trees, init, args)
 
 
 def cmd_sample(args) -> int:

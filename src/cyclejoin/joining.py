@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import getitem
 
-from .adjacency import AdjacencyGraph, first_conjugate_pair
+from .adjacency import AdjacencyGraph, candidate_partners, first_conjugate_pair
 from .cycles import CycleSet
 from .lfsr import Lfsr, state_to_str
 
@@ -145,9 +145,10 @@ def _edge_key(e):
 
 def tree_multiplicity(graph: AdjacencyGraph, tree) -> int:
     """Number of multigraph trees condensing to this tree (product of multiplicities)."""
+    mult = graph.multiplicities
     m = 1
     for e in tree:
-        m *= len(graph.edges[_edge_key(e)])
+        m *= mult[_edge_key(e)]
     return m
 
 
@@ -158,8 +159,9 @@ def g_trees(graph: AdjacencyGraph, limit: int | None = None, start: int = 0):
     its edges' bundles, counted in mixed radix with the last edge
     fastest.  The first `start` trees are skipped a whole condensed tree
     at a time, by multiplicity, and the count inside the tree that holds
-    the start-th one begins at the remainder's digits.  Stops after
-    `limit` trees when given.
+    the start-th one begins at the remainder's digits.  Only the trees
+    that are emitted read their bundles' pairs.  Stops after `limit`
+    trees when given.
     """
     if start < 0:
         raise ValueError("start must be nonnegative")
@@ -171,13 +173,15 @@ def g_trees(graph: AdjacencyGraph, limit: int | None = None, start: int = 0):
 
 
 def _expand(graph: AdjacencyGraph, condensed, start: int):
+    mult = graph.multiplicities
     for tree in condensed:
-        bundles = [graph.edges[_edge_key(e)] for e in tree]
-        radix = [len(b) for b in bundles]
+        keys = [_edge_key(e) for e in tree]
+        radix = [mult[k] for k in keys]
         total = math.prod(radix)
         if start >= total:
             start -= total
             continue
+        bundles = [graph.edges[k] for k in keys]
         digits = [0] * len(radix)
         for i in reversed(range(len(radix))):
             start, digits[i] = divmod(start, radix[i])
@@ -211,7 +215,7 @@ def random_spanning_tree(graph: AdjacencyGraph, seed) -> tuple[int, ...]:
         raise ValueError("graph is disconnected: no spanning tree exists")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     draw = rng.random
-    nbrs, cum, bundles = graph.walk_tables
+    nbrs, cum = graph.walk_tables
     psi = graph.num_vertices
     root = max(range(psi), key=lambda v: cum[v][-1] if cum[v] else 0)
     in_tree = bytearray(psi)
@@ -229,11 +233,12 @@ def random_spanning_tree(graph: AdjacencyGraph, seed) -> tuple[int, ...]:
         while not in_tree[u]:  # loops erased: follow the last exits
             in_tree[u] = 1
             u = nbrs[u][exit_of[u]]
+    mult = graph.multiplicities
     tree = []
     for v in range(psi):
         if v != root:
-            bundle = bundles[v][exit_of[v]]
-            tree.append(bundle[rng.randrange(len(bundle))])
+            key = _edge_key((v, nbrs[v][exit_of[v]]))
+            tree.append(graph.edges[key][rng.randrange(mult[key])])
     return tuple(tree)
 
 
@@ -241,13 +246,14 @@ def greedy_connected_subgraph(cycles: CycleSet, tables, factors, basis, rep) -> 
     """A spanning tree found by frontier expansion, skipping the full graph.
 
     Starting from the first cycle, each processed cycle is probed
-    against every still-unreached cycle for a single conjugate pair;
-    newly reached cycles join the frontier (processed in ascending
-    index order).  Useful when the complete pair computation is too
-    expensive and any one tree suffices.
+    against every still-unreached candidate partner (ascending) for a
+    single conjugate pair; newly reached cycles join the frontier
+    (processed in ascending index order).  Useful when the complete
+    pair computation is too expensive and any one tree suffices.
     """
     descs = cycles.cycles
     psi = len(descs)
+    partners = candidate_partners(cycles, tables)
     reached = bytearray(psi)
     reached[0] = 1
     frontier = [0]
@@ -255,7 +261,7 @@ def greedy_connected_subgraph(cycles: CycleSet, tables, factors, basis, rep) -> 
     while frontier and sum(reached) < psi:
         cur = min(frontier)
         frontier.remove(cur)
-        for j in range(psi):
+        for j in partners[cur]:
             if reached[j]:
                 continue
             a, b = (cur, j) if cur < j else (j, cur)

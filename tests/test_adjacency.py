@@ -307,9 +307,7 @@ def test_aggregate_counts_match_cyclotomic_products(facs):
             if i == j:
                 cnt = sum(
                     1
-                    for _ in _iter_pairs(
-                        c1, c2, inst.tables, inst.factors, inst.basis, inst.special, include_same=True
-                    )
+                    for _ in _iter_pairs(c1, c2, inst.tables, inst.factors, inst.basis)
                 )
             else:
                 cnt = len(

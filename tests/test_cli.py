@@ -248,6 +248,54 @@ def test_generate_exhausts_stream_at_limit(capsys):
     assert code == 2 and "past the last spanning tree" in err
 
 
+@pytest.mark.parametrize(
+    "factors, index",
+    [
+        ("11,111,11111", 12485394432),  # zeta_G: one past the last tree
+        ("11,1011110010111", 10**400),
+    ],
+    ids=["n7-zeta_G", "dense-count-10^400"],
+)
+def test_generate_rejects_a_tree_index_past_the_end_quickly(capsys, factors, index):
+    # skipping condensed trees one at a time ran for over 20 s on the first
+    # and never ended on the second
+    start = time.perf_counter()
+    code, out, err = run(capsys, "generate", "--factors", factors, "--tree-index", str(index))
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert "past the last spanning tree" in err
+
+
+def test_generate_accepts_the_last_tree_index(capsys):
+    # 926,016 trees over 15 condensed trees: the last index is still streamed
+    argv = ("generate", "--factors", "11,1101,11001", "--limit", "3")
+    code, out, _ = run(capsys, *argv, "--tree-index", "926015")
+    assert code == 0 and len(out.split()) == 1
+    code, _, err = run(capsys, *argv, "--tree-index", "926016")
+    assert code == 2 and "past the last spanning tree" in err
+
+
+@pytest.mark.parametrize("factors", ["11,111,11111", "1001001,10000001111"])
+def test_pairs_are_found_only_for_emitted_trees(monkeypatch, capsys, factors):
+    from cyclejoin import adjacency
+
+    looked_up = []
+    real = adjacency.conjugate_pairs
+
+    def spy(c1, c2, *args):
+        looked_up.append((c1, c2))
+        return real(c1, c2, *args)
+
+    monkeypatch.setattr(adjacency, "conjugate_pairs", spy)
+    psi = FactoredLfsr.from_strings(factors).psi
+    for argv in (("count",), ("analyze",), ("analyze", "--format", "json")):
+        assert run(capsys, *argv, "--factors", factors)[0] == 0
+    assert looked_up == []
+    code, out, _ = run(capsys, "generate", "--factors", factors, "--limit", "1")
+    assert code == 0 and len(out.split()) == 1
+    assert 0 < len(looked_up) <= psi - 1
+
+
 def test_analyze_reports_connectivity(capsys):
     _, out, _ = run(capsys, "analyze", "--factors", "1011,1101", "--format", "json")
     assert json.loads(out)["connected"] is True

@@ -2,20 +2,19 @@
 
 The reference below walks the full product of the per-factor local
 tables, filters it by the pairwise gcd congruences, and advances each
-component state with state_oracle.advance.  The descent in adjacency
-must give the same pairs in the same order, so every edges dict, its key
-order and every greedy tree must match.
+component state with state_oracle.advance, over every cycle pair.  The
+descent in adjacency must give the same pairs in the same order, so
+every multiplicity, every edge bundle and the key order must match, and
+the greedy tree must be the one its definition gives on the reference
+edges.
 """
 
 import itertools
 from math import gcd
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclejoin import joining
 from cyclejoin.adjacency import SPECIAL_STATE, build_graph
 from cyclejoin.gf2 import degree, is_irreducible
 from cyclejoin.joining import greedy_connected_subgraph
@@ -97,10 +96,6 @@ def reference_pairs(c1, c2, tables, factors, basis, rep):
             yield v
 
 
-def reference_first_pair(c1, c2, tables, factors, basis, rep):
-    return next(reference_pairs(c1, c2, tables, factors, basis, rep), None)
-
-
 def reference_edges(inst):
     descs = inst.cycles.cycles
     edges = {}
@@ -116,23 +111,46 @@ def reference_edges(inst):
     return edges
 
 
+def reference_greedy(psi, edges):
+    """The greedy tree by its definition, read off the reference edges.
+
+    Each processed cycle (lowest of the frontier first) takes the first
+    pair it shares with every still-unreached cycle, scanning all cycles
+    in ascending order.
+    """
+    reached = [False] * psi
+    reached[0] = True
+    frontier = [0]
+    tree = {}
+    while frontier and not all(reached):
+        cur = min(frontier)
+        frontier.remove(cur)
+        for j in range(psi):
+            key = (min(cur, j), max(cur, j))
+            if not reached[j] and key in edges:
+                tree[key] = edges[key][:1]
+                reached[j] = True
+                frontier.append(j)
+    return tree
+
+
 def assert_matches_reference(inst):
-    got = build_graph(inst.cycles, inst.tables, inst.factors, inst.basis, inst.special).edges
+    graph = build_graph(inst.cycles, inst.tables, inst.factors, inst.basis, inst.special)
     want = reference_edges(inst)
+    # the multiplicities are counted without listing a pair, in the same key order
+    assert list(graph.multiplicities.items()) == [(e, len(ps)) for e, ps in want.items()]
+    got = graph.edges
     assert list(got) == list(want)
     assert got == want
     greedy = greedy_connected_subgraph(
         inst.cycles, inst.tables, inst.factors, inst.basis, inst.special
     )
-    with mock.patch.object(joining, "first_conjugate_pair", reference_first_pair):
-        ref_greedy = greedy_connected_subgraph(
-            inst.cycles, inst.tables, inst.factors, inst.basis, inst.special
-        )
-    assert list(greedy.edges) == list(ref_greedy.edges)
-    assert greedy.edges == ref_greedy.edges
+    assert list(greedy.edges.items()) == list(reference_greedy(inst.psi, want).items())
 
 
-@pytest.mark.parametrize("facs", GOLDEN)
+# orders 3, 15, 9: the lcm above the last level (15) is below the product
+# of the periods above it (45), and the two give different gcds with 9
+@pytest.mark.parametrize("facs", GOLDEN + ["111,10011,1001001"])
 def test_pair_search_matches_reference_on_golden_instances(facs):
     assert_matches_reference(FactoredLfsr.from_strings(facs))
 
