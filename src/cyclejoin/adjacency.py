@@ -30,10 +30,11 @@ compatibility of the shifts is the same as compatibility of each shift
 with the merged congruence of the levels above it, so each side
 carries that merged residue down, and level i only visits the local
 pairs whose shifts match it modulo gcd(e_i, lcm of the periods above).
-The CRT constants of a merge depend on one side and one level only, so
-they are computed once per cycle and each merge is a few integer
-operations.  The tables are grouped by those residues once and the
-groups keep table order, so the pairs come out in the product's
+The CRT constants of a merge depend on one side and one level only:
+they are the cycle's ``cycles.shift_levels``, the shift rule's one
+home, read once per cycle, so each merge is a few integer operations.
+The tables are grouped by those residues once and the groups keep
+table order, so the pairs come out in the product's
 lexicographic order.  Every partial tuple visited is compatible as far
 as it goes, so the work grows with the pairs found rather than with
 the product.  The zero cycle takes no special case: its side reads
@@ -57,9 +58,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, product
-from math import gcd, lcm
+from math import lcm
 
-from .cycles import CycleDescriptor, CycleSet, canonical_shifts
+from .cycles import CycleDescriptor, CycleSet, canonical_shifts, shift_levels
 from .lfsr import StateBasis
 
 __all__ = [
@@ -217,31 +218,20 @@ def candidate_partners(cycles: CycleSet, tables) -> list[list[int]]:
     return [lists[key] for key in keys]
 
 
-def _side(c: CycleDescriptor, factors) -> list[tuple[int, int, int, int, int]]:
-    """Per level, one side's shift and CRT constants (l, g, m, q, inv).
+def _side(c: CycleDescriptor, factors) -> tuple[tuple[int, ...], list[tuple]]:
+    """One side of a descent: the cycle's shifts and its shift_levels constants.
 
-    m is the lcm of the side's active periods above the level and p the
-    level's own period (1 if inactive); g = gcd(p, m), q = p // g and
-    inv is (m // g)^-1 mod q.  Merging r (mod m) with u - l (mod p),
-    given u - l = r (mod g), is then r + m * ((u - l - r) // g * inv % q),
-    already reduced modulo lcm(m, p) = m * q.
+    A local shift u at level i merges as the congruence u - l, so the
+    side's merged residue r becomes r + m * ((u - l - r) // g * inv % q).
     """
-    out = []
-    m = 1
-    for a, l, f in zip(c.flags, c.shifts, factors):
-        p = f.order if a else 1
-        g = gcd(p, m)
-        q = p // g
-        out.append((l, g, m, q, pow(m // g, -1, q)))
-        m *= q
-    return out
+    return c.shifts, shift_levels(c.flags, [f.order for f in factors])
 
 
 def _levels(key1, side1, key2, side2, tables) -> list[tuple]:
-    """The descent's levels between two sides: residue groups plus both sides' constants."""
+    """The descent's levels between two sides: residue groups, then (l, g, m, q, inv) per side."""
     return [
-        (tbl.buckets(j, k, s1[1], s2[1]), *s1, *s2)
-        for tbl, j, k, s1, s2 in zip(tables, key1, key2, side1, side2)
+        (tbl.buckets(j, k, lv1[0], lv2[0]), l1, *lv1, l2, *lv2)
+        for tbl, j, k, l1, lv1, l2, lv2 in zip(tables, key1, key2, *side1, *side2)
     ]
 
 
@@ -312,7 +302,7 @@ def _descend(levels, views, i, r1, r2, v):
         )
 
 
-def conjugate_pairs(c1, c2, tables, factors, basis, rep) -> tuple[int, ...]:
+def conjugate_pairs(c1, c2, tables, factors, basis) -> tuple[int, ...]:
     """All conjugate pairs shared by two distinct cycles.
 
     Every tuple of per-factor local pairs whose shifts satisfy the
@@ -330,7 +320,7 @@ def conjugate_pairs(c1, c2, tables, factors, basis, rep) -> tuple[int, ...]:
     return tuple(_iter_pairs(c1, c2, tables, factors, basis))
 
 
-def first_conjugate_pair(c1, c2, tables, factors, basis, rep):
+def first_conjugate_pair(c1, c2, tables, factors, basis):
     """First conjugate pair's v between two cycles, or None; stops at the first hit."""
     if c1 == c2:
         raise ValueError("conjugate pairs are reported between distinct cycles only")
@@ -459,7 +449,8 @@ def build_graph(cycles: CycleSet, tables, factors, basis, rep) -> AdjacencyGraph
     The edges keep the order of a scan over (i, j), i < j; a bundle's
     pairs are found by conjugate_pairs the first time its edge is read.
     Self-pairs are never looked at (the graph has no loops by
-    definition, and they are useless for joining).
+    definition, and they are useless for joining).  ``rep`` is not read;
+    the tables already hold the special state's blocks.
     """
     descs = cycles.cycles
     keys = [_table_key(c, tables) for c in descs]
@@ -473,7 +464,7 @@ def build_graph(cycles: CycleSet, tables, factors, basis, rep) -> AdjacencyGraph
                 counts[(i, j)] = mult
 
     def find(i, j):
-        return conjugate_pairs(descs[i], descs[j], tables, factors, basis, rep)
+        return conjugate_pairs(descs[i], descs[j], tables, factors, basis)
 
     return AdjacencyGraph(len(descs), PairBundles(counts, find))
 

@@ -75,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--partial",
         action="store_true",
-        help="skip the full graph: find one greedy spanning structure "
-        "(--max-order then caps the largest factor degree, not the total)",
+        help="skip the full graph: print one sequence, from one greedy spanning "
+        "structure (so no --tree-index; --max-order then caps the largest "
+        "factor degree, not the total)",
     )
 
     p = sub.add_parser("sample", help="emit sequences from uniformly random trees")
@@ -240,6 +241,8 @@ def _emit_sequences(inst, trees, init: int, args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.partial and args.tree_index > 0:
+        raise ValueError("--tree-index does not apply to --partial, which prints one sequence")
     inst = _instance(args)
     # every argument is checked before the graph build, which can take minutes
     if args.limit < 1:

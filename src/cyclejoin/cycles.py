@@ -8,7 +8,9 @@ p_i and t_i = (2^{n_i} - 1) / e_i.  A cycle of the product register is
 described by which components are active, which component cycle each
 active factor uses, and relative shifts between components; the shift
 for component k is only free modulo gcd(e_k, lcm of the earlier active
-periods), which is exactly the range enumerated here.
+periods).  ``shift_levels`` is the one home of that rule: the ranges
+enumerated here, the canonical form of a shift tuple and the pair
+search's merges (adjacency) all read their moduli from it.
 
 Every cycle gets one representative state, assembled from shifted
 per-factor states through the StateBasis.
@@ -16,7 +18,7 @@ per-factor states through the StateBasis.
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd, prod
 
 from .gf2 import degree, find_associated_primitive, format_poly, is_irreducible, poly_order
 from .lfsr import Lfsr, StateBasis, bits_to_state, decimate, solve_initial_state
@@ -28,8 +30,8 @@ __all__ = [
     "CycleSet",
     "enumerate_cycles",
     "representative_state",
+    "shift_levels",
     "canonical_shifts",
-    "merge_congruence",
 ]
 
 
@@ -176,10 +178,9 @@ class CycleDescriptor:
 
 @dataclass
 class CycleSet:
-    """All cycles of the factored register, in a fixed reproducible order."""
+    """All cycles of the factored register, in a fixed order; the zero cycle is vertex 0."""
 
     cycles: tuple[CycleDescriptor, ...]
-    zero_index: int
     special_index: int | None = None
     _lookup: dict = field(default=None, repr=False)
 
@@ -200,18 +201,24 @@ class CycleSet:
         return self._lookup[c]
 
 
-def merge_congruence(a1: int, m1: int, a2: int, m2: int):
-    """Combine r = a1 (mod m1) and r = a2 (mod m2); None if incompatible.
+def shift_levels(flags, orders) -> list[tuple[int, int, int, int]]:
+    """Per component, the shift rule's constants (g, m, q, inv).
 
-    Returns (a, lcm(m1, m2)) via Garner-style reconstruction, valid for
-    arbitrary (not necessarily coprime) moduli.
+    m is the lcm of the active periods before the component and p its
+    own period (1 if inactive); its shift ranges over g = gcd(p, m),
+    q = p // g and inv = (m // g)^-1 mod q.  Merging r (mod m) with
+    x (mod p), given x = r (mod g), is r + m * ((x - r) // g * inv % q),
+    already reduced modulo lcm(m, p) = m * q, so prod(q) is the period.
     """
-    g = gcd(m1, m2)
-    if (a2 - a1) % g:
-        return None
-    m = m1 // g * m2
-    k = (a2 - a1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
-    return (a1 + m1 * k) % m, m
+    out = []
+    m = 1
+    for a, e in zip(flags, orders, strict=True):
+        p = e if a else 1
+        g = gcd(p, m)
+        q = p // g
+        out.append((g, m, q, pow(m // g, -1, q)))
+        m *= q
+    return out
 
 
 def canonical_shifts(flags, shifts, orders) -> tuple[int, ...]:
@@ -221,19 +228,15 @@ def canonical_shifts(flags, shifts, orders) -> tuple[int, ...]:
     shift r, taken modulo each active period.  Greedily pinning each
     component to the smallest reachable residue, while accumulating the
     constraint on r by CRT, lands exactly in the ranges enumerated by
-    the cycle structure.
+    the cycle structure.  An inactive component has g = q = 1, so it
+    gets shift 0 and leaves the constraint alone.
     """
-    rho, mod = 0, 1
+    rho = 0
     out = []
-    for a, sh, e in zip(flags, shifts, orders, strict=True):
-        if not a:
-            out.append(0)
-            continue
-        l = (sh + rho) % gcd(e, mod)
+    for sh, (g, m, q, inv) in zip(shifts, shift_levels(flags, orders), strict=True):
+        l = (sh + rho) % g
         out.append(l)
-        merged = merge_congruence(rho, mod, (l - sh) % e, e)
-        assert merged is not None  # compatible by construction
-        rho, mod = merged
+        rho += m * ((l - sh - rho) // g * inv % q)
     return tuple(out)
 
 
@@ -261,27 +264,19 @@ def enumerate_cycles(factors) -> CycleSet:
     factors = list(factors)
     s = len(factors)
     n = sum(f.degree for f in factors)
+    orders = [f.order for f in factors]
     descs = []
-    zero_index = None
     for flags in _flag_patterns(s):
-        fvals = [f.order if a else 1 for f, a in zip(factors, flags)]
-        bounds = []
-        prefix = 1
-        for fv in fvals:
-            bounds.append(gcd(fv, prefix))
-            prefix = lcm(prefix, fv)
-        period = lcm(*fvals)
+        levels = shift_levels(flags, orders)
+        period = prod(q for _, _, q, _ in levels)
         idx_ranges = [range(f.t) if a else range(1) for f, a in zip(factors, flags)]
-        shift_ranges = [range(b) for b in bounds]
+        shift_ranges = [range(g) for g, _, _, _ in levels]
         for combo in itertools.product(*idx_ranges, *shift_ranges):
-            desc = CycleDescriptor(flags, combo[:s], combo[s:], period)
-            if not any(flags):
-                zero_index = len(descs)
-            descs.append(desc)
+            descs.append(CycleDescriptor(flags, combo[:s], combo[s:], period))
     total = sum(c.period for c in descs)
     if total != 1 << n:
         raise AssertionError(f"cycle periods sum to {total}, expected 2^{n}")
-    return CycleSet(tuple(descs), zero_index)
+    return CycleSet(tuple(descs))
 
 
 def representative_state(c: CycleDescriptor, basis: StateBasis, factors) -> int:

@@ -250,6 +250,7 @@ def greedy_connected_subgraph(cycles: CycleSet, tables, factors, basis, rep) -> 
     single conjugate pair; newly reached cycles join the frontier
     (processed in ascending index order).  Useful when the complete
     pair computation is too expensive and any one tree suffices.
+    ``rep`` is not read; the tables already hold the special state's blocks.
     """
     descs = cycles.cycles
     psi = len(descs)
@@ -265,7 +266,7 @@ def greedy_connected_subgraph(cycles: CycleSet, tables, factors, basis, rep) -> 
             if reached[j]:
                 continue
             a, b = (cur, j) if cur < j else (j, cur)
-            pair = first_conjugate_pair(descs[a], descs[b], tables, factors, basis, rep)
+            pair = first_conjugate_pair(descs[a], descs[b], tables, factors, basis)
             if pair is not None:
                 edges[(a, b)] = (pair,)
                 reached[j] = 1

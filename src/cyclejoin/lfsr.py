@@ -5,16 +5,18 @@ the next output bit sits in bit 0.  All bit I/O follows this
 least-index-first convention, matching the way states are written as
 (s_i, ..., s_{i+n-1}).
 
-The companion matrix A of the characteristic polynomial acts on states
-by right multiplication, so advancing a state k steps is one vector
-times A^k.  Matrices over GF(2) are stored as lists of row masks.
+Output bit k of a register with characteristic polynomial q is a
+fixed linear form of its state: s_k = sum h_i s_i when
+x^k = sum h_i x^i (mod q).  So conditions on bits far along the output
+are read off powers of x modulo q, with no matrix powers.  Matrices
+over GF(2) (the state basis) are stored as lists of row masks.
 """
 
 import sys
 from array import array
 from bisect import bisect_right
 
-from .gf2 import degree, format_poly, is_primitive
+from .gf2 import X, degree, format_poly, is_primitive, poly_mulmod, poly_powmod
 
 __all__ = [
     "Lfsr",
@@ -61,21 +63,6 @@ def _vec_mat(v: int, rows: list[int]) -> int:
     return r
 
 
-def _mat_mul(a: list[int], b: list[int]) -> list[int]:
-    return [_vec_mat(row, b) for row in a]
-
-
-def _mat_pow(a: list[int], k: int) -> list[int]:
-    n = len(a)
-    r = [1 << i for i in range(n)]
-    while k:
-        if k & 1:
-            r = _mat_mul(r, a)
-        a = _mat_mul(a, a)
-        k >>= 1
-    return r
-
-
 def _gf2_invert(rows: list[int], n: int) -> list[int]:
     """Invert an n x n bit matrix by Gauss-Jordan elimination."""
     aug = [rows[i] | 1 << (n + i) for i in range(n)]
@@ -88,41 +75,6 @@ def _gf2_invert(rows: list[int], n: int) -> list[int]:
             if i != col and aug[i] >> col & 1:
                 aug[i] ^= aug[col]
     return [aug[i] >> n for i in range(n)]
-
-
-def _gf2_solve_left(rows: list[int], n: int, rhs: int) -> int:
-    """Solve x * M = rhs over GF(2), with M given as row masks."""
-    cols = [0] * n
-    for i in range(n):
-        r = rows[i]
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    # now solve M^T y = rhs
-    aug = [cols[j] | (rhs >> j & 1) << n for j in range(n)]
-    x = 0
-    solved = []
-    for col in range(n):
-        piv = next((i for i in range(len(aug)) if aug[i] >> col & 1), None)
-        if piv is None:
-            continue
-        row = aug.pop(piv)
-        solved.append((col, row))
-        aug = [r ^ row if r >> col & 1 else r for r in aug]
-    for r in aug:
-        if r >> n:
-            raise ValueError("inconsistent linear system")
-    for col, row in reversed(solved):
-        # back-substitute unknowns fixed in later columns
-        acc = row >> n & 1
-        rr = row & (((1 << n) - 1) ^ (1 << col))
-        while rr:
-            low = rr & -rr
-            acc ^= x >> (low.bit_length() - 1) & 1
-            rr ^= low
-        x |= acc << col
-    return x
 
 
 class Lfsr:
@@ -145,7 +97,6 @@ class Lfsr:
         self.poly = poly
         self.n = n
         self.taps = poly ^ (1 << n)
-        self._companion = None
         self._cycle_table = None
 
     def __repr__(self):
@@ -166,18 +117,6 @@ class Lfsr:
             out.append(state & 1)
             state = (state >> 1) | ((state & taps).bit_count() & 1) << n1
         return out
-
-    def companion(self) -> list[int]:
-        """Companion matrix of the characteristic polynomial (row masks)."""
-        if self._companion is None:
-            n = self.n
-            rows = [0] * n
-            for i in range(n):
-                rows[i] = (self.poly >> i & 1) << (n - 1)
-                if i:
-                    rows[i] |= 1 << (i - 1)
-            self._companion = rows
-        return self._companion
 
     def cycle_table(self) -> "CycleTable":
         """Every cycle as a bit string, with a locator for states; built on first use."""
@@ -265,23 +204,29 @@ def decimate(seq, d: int, offset: int = 0, count: int | None = None) -> list[int
 def solve_initial_state(q: int, t: int) -> int:
     """Initial state making the t-decimation of q's m-sequence start (1, 0, ..., 0).
 
-    q must be primitive of degree n, t a divisor of 2^n - 1.  With A
-    the companion matrix of q, the state s solves the n linear
-    conditions "first bit of s A^(jt) equals [j == 0]".
+    q must be primitive of degree n, t a divisor of 2^n - 1.  Output
+    bit jt of state s is sum s_i h_i, where x^(jt) = sum h_i x^i
+    (mod q), so s solves the n linear conditions "that sum equals
+    [j == 0]": s times the condition matrix is (1, 0, ..., 0), and s is
+    row 0 of its inverse.  The matrix is singular, and no such state
+    exists, when x^t lies in a proper subfield of GF(2)[x]/(q).
     """
     if not is_primitive(q):
         raise ValueError(f"{format_poly(q)} is not primitive")
     n = degree(q)
     if t < 1 or ((1 << n) - 1) % t:
         raise ValueError("t must divide 2^n - 1")
-    step_t = _mat_pow(Lfsr(q).companion(), t)
-    cond = [0] * n  # cond[i] bit j = entry (i, 0) of A^(jt)
-    acc = [1 << i for i in range(n)]
+    step_t = poly_powmod(X, t, q)
+    cond = [0] * n  # cond[i] bit j = coefficient of x^i in x^(jt) mod q
+    acc = 1
     for j in range(n):
         for i in range(n):
-            cond[i] |= (acc[i] & 1) << j
-        acc = _mat_mul(acc, step_t)
-    return _gf2_solve_left(cond, n, 1)
+            cond[i] |= (acc >> i & 1) << j
+        acc = poly_mulmod(acc, step_t, q)
+    try:
+        return _gf2_invert(cond, n)[0]
+    except ValueError:
+        raise ValueError(f"x^{t} lies in a proper subfield modulo {format_poly(q)}") from None
 
 
 class StateBasis:

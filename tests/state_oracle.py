@@ -4,17 +4,44 @@ The package walks each factor's cycles once into an orbit table and
 reads states from it; these helpers reach the same states the slow
 way, by stepping a register or raising its companion matrix to a
 power, and find a joint state's cycle by decomposing it through the
-state basis.
+state basis.  ``merge_congruence`` is the textbook CRT merge that the
+package's shift rule (``cycles.shift_levels``) is checked against.
 """
 
-from math import lcm
+from math import gcd, lcm
 
 from cyclejoin.cycles import CycleDescriptor, CycleSet, canonical_shifts
-from cyclejoin.lfsr import Lfsr, StateBasis, _mat_pow, _vec_mat
+from cyclejoin.lfsr import Lfsr, StateBasis, _vec_mat
 
 
 def state_to_bits(v: int, n: int) -> tuple[int, ...]:
     return tuple(v >> i & 1 for i in range(n))
+
+
+def companion(reg: Lfsr) -> list[int]:
+    """Companion matrix of the register's characteristic polynomial (row masks).
+
+    It acts on states by right multiplication: step(v) == v A.
+    """
+    n = reg.n
+    rows = [(reg.poly >> i & 1) << (n - 1) for i in range(n)]
+    for i in range(1, n):
+        rows[i] |= 1 << (i - 1)
+    return rows
+
+
+def mat_mul(a: list[int], b: list[int]) -> list[int]:
+    return [_vec_mat(row, b) for row in a]
+
+
+def mat_pow(a: list[int], k: int) -> list[int]:
+    r = [1 << i for i in range(len(a))]
+    while k:
+        if k & 1:
+            r = mat_mul(r, a)
+        a = mat_mul(a, a)
+        k >>= 1
+    return r
 
 
 def advance(reg: Lfsr, state: int, k: int) -> int:
@@ -29,13 +56,13 @@ def advance(reg: Lfsr, state: int, k: int) -> int:
         for _ in range(k):
             state = reg.step(state)
         return state
-    return _vec_mat(state, _mat_pow(reg.companion(), k))
+    return _vec_mat(state, mat_pow(companion(reg), k))
 
 
 def locate_state(v: int, basis: StateBasis, factors, cycles: CycleSet) -> int:
     """Index of the cycle containing the joint state v."""
     if v == 0:
-        return cycles.zero_index
+        return 0  # the zero cycle is vertex 0
     flags, indices, shifts = [], [], []
     for blk, f in zip(basis.decompose(v), factors):
         if blk == 0:
@@ -68,3 +95,17 @@ def cycle_labels(reg: Lfsr) -> list[int]:
         if labels[v] == count:
             count += 1
     return labels
+
+
+def merge_congruence(a1: int, m1: int, a2: int, m2: int):
+    """Combine r = a1 (mod m1) and r = a2 (mod m2); None if incompatible.
+
+    Returns (a, lcm(m1, m2)) via Garner-style reconstruction, valid for
+    arbitrary (not necessarily coprime) moduli.
+    """
+    g = gcd(m1, m2)
+    if (a2 - a1) % g:
+        return None
+    m = m1 // g * m2
+    k = (a2 - a1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
+    return (a1 + m1 * k) % m, m

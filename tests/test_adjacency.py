@@ -164,15 +164,13 @@ def test_conjugate_pairs_requires_distinct_cycles():
     inst = FactoredLfsr.from_strings(N7)
     c = inst.cycles[3]
     with pytest.raises(ValueError):
-        conjugate_pairs(c, c, inst.tables, inst.factors, inst.basis, inst.special)
+        conjugate_pairs(c, c, inst.tables, inst.factors, inst.basis)
 
 
 def test_conjugate_pairs_missing_component_on_both_sides():
     inst = FactoredLfsr.from_strings(N7)
     # V2 = [u2[0]] and V3 = [u3[0]] both lack the first factor
-    got = conjugate_pairs(
-        inst.cycles[1], inst.cycles[2], inst.tables, inst.factors, inst.basis, inst.special
-    )
+    got = conjugate_pairs(inst.cycles[1], inst.cycles[2], inst.tables, inst.factors, inst.basis)
     assert got == ()
 
 
@@ -311,7 +309,7 @@ def test_aggregate_counts_match_cyclotomic_products(facs):
                 )
             else:
                 cnt = len(
-                    conjugate_pairs(c1, c2, inst.tables, inst.factors, inst.basis, inst.special)
+                    conjugate_pairs(c1, c2, inst.tables, inst.factors, inst.basis)
                 )
             by_pattern[key] = by_pattern.get(key, 0) + cnt
     for (f1, j1, f2, j2), total in by_pattern.items():
@@ -383,11 +381,11 @@ def test_coprime_primitive_counts():
 def test_first_conjugate_pair():
     inst = FactoredLfsr.from_strings(N7)
     descs = inst.cycles.cycles
-    full = conjugate_pairs(descs[5], descs[13], inst.tables, inst.factors, inst.basis, inst.special)
-    first = first_conjugate_pair(descs[5], descs[13], inst.tables, inst.factors, inst.basis, inst.special)
+    full = conjugate_pairs(descs[5], descs[13], inst.tables, inst.factors, inst.basis)
+    first = first_conjugate_pair(descs[5], descs[13], inst.tables, inst.factors, inst.basis)
     assert first == full[0]
     assert (
-        first_conjugate_pair(descs[1], descs[2], inst.tables, inst.factors, inst.basis, inst.special)
+        first_conjugate_pair(descs[1], descs[2], inst.tables, inst.factors, inst.basis)
         is None
     )
 

@@ -449,6 +449,7 @@ def test_sample_on_disconnected_graph_exits_before_any_output(monkeypatch, capsy
         (("sample", "--initial-state", "11111111"), "initial state must have 7 bits"),
         (("generate", "--tree-index", "-1"), "--tree-index must be nonnegative"),
         (("generate", "--partial", "--tree-index", "-3"), "--tree-index must be nonnegative"),
+        (("generate", "--partial", "--tree-index", "3"), "--tree-index does not apply"),
     ],
 )
 def test_bad_arguments_are_rejected_before_the_graph_build(monkeypatch, capsys, argv, message):

@@ -1,18 +1,21 @@
 import dataclasses
 import random
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclejoin.cycles import (
     canonical_shifts,
     enumerate_cycles,
-    merge_congruence,
+    shift_levels,
     states_per_factor,
 )
 from cyclejoin.gf2 import is_irreducible
 from cyclejoin.lfsr import state_to_str
 from cyclejoin.pipeline import FactoredLfsr
-from state_oracle import advance, locate_state
+from state_oracle import advance, locate_state, merge_congruence
 
 N7 = "11,111,11111"
 
@@ -85,7 +88,7 @@ def test_enumerate_cycles_n7_reference():
     inst = FactoredLfsr.from_strings(N7)
     assert inst.psi == 16
     assert [c.period for c in inst.cycles] == [p for _, p in N7_CYCLE_TABLE]
-    assert inst.cycles.zero_index == 0
+    assert not any(inst.cycles[0].flags)  # the zero cycle is vertex 0
 
 
 def test_representative_states_n7_reference():
@@ -164,7 +167,7 @@ def test_cycles_partition_the_state_space(facs):
 
 def test_zero_descriptor_maps_to_zero_state():
     inst = FactoredLfsr.from_strings(N7)
-    assert inst.representative(inst.cycles.zero_index) == 0
+    assert inst.representative(0) == 0
 
 
 def test_locate_state_roundtrip():
@@ -174,7 +177,7 @@ def test_locate_state_roundtrip():
         assert locate_state(v, inst.basis, inst.factors, inst.cycles) == i
         w = advance(inst.lfsr, v, 5 % c.period if c.period > 1 else 0)
         assert locate_state(w, inst.basis, inst.factors, inst.cycles) == i
-    assert locate_state(0, inst.basis, inst.factors, inst.cycles) == inst.cycles.zero_index
+    assert locate_state(0, inst.basis, inst.factors, inst.cycles) == 0
 
 
 def test_special_cycle_is_v16_in_n7_reference():
@@ -203,6 +206,55 @@ def test_canonical_shifts_invariance_under_global_shift():
         moved = [(sh + r) % e for sh, e in zip(shifts, orders)]
         assert canonical_shifts(flags, moved, orders) == base
         assert base[0] == 0 or flags[0] == 0
+
+
+def reference_canonical_shifts(flags, shifts, orders):
+    """canonical_shifts as a loop of textbook CRT merges."""
+    rho, mod = 0, 1
+    out = []
+    for a, sh, e in zip(flags, shifts, orders, strict=True):
+        if not a:
+            out.append(0)
+            continue
+        l = (sh + rho) % gcd(e, mod)
+        out.append(l)
+        rho, mod = merge_congruence(rho, mod, (l - sh) % e, e)
+    return tuple(out)
+
+
+@st.composite
+def shift_tuples(draw):
+    """Orders, flags and two shift tuples; the second is often a global shift of the first."""
+    orders = draw(st.lists(st.sampled_from([1, 3, 5, 7, 9, 15, 21, 63, 73]), min_size=1, max_size=4))
+    flags = draw(st.lists(st.integers(0, 1), min_size=len(orders), max_size=len(orders)))
+    first = [draw(st.integers(0, e - 1)) if a else 0 for a, e in zip(flags, orders)]
+    if draw(st.booleans()):
+        r = draw(st.integers(0, lcm(*orders) - 1))
+        second = [(sh + r) % e if a else 0 for a, sh, e in zip(flags, first, orders)]
+    else:
+        second = [draw(st.integers(0, e - 1)) if a else 0 for a, e in zip(flags, orders)]
+    return flags, orders, first, second
+
+
+@settings(max_examples=300, deadline=None)
+@given(shift_tuples())
+def test_canonical_shifts_is_the_crt_merge_and_names_shift_classes(drawn):
+    flags, orders, first, second = drawn
+    canon = canonical_shifts(flags, first, orders)
+    assert canon == reference_canonical_shifts(flags, first, orders)
+    assert canonical_shifts(flags, second, orders) == reference_canonical_shifts(flags, second, orders)
+    # each shift lies in its range, and the ranges multiply out to the period
+    levels = shift_levels(flags, orders)
+    assert all(l < g for l, (g, _, _, _) in zip(canon, levels))
+    active = [e for a, e in zip(flags, orders) if a]
+    period = lcm(*active)
+    assert levels[-1][1] * levels[-1][2] == period
+    # same canonical form exactly when one global shift moves one tuple onto the other
+    same_class = any(
+        all((x + r) % e == y for a, x, y, e in zip(flags, first, second, orders) if a)
+        for r in range(period)
+    )
+    assert (canonical_shifts(flags, second, orders) == canon) == same_class
 
 
 def test_describe():

@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from cyclejoin.gf2 import poly_mul
+from cyclejoin.gf2 import is_primitive, poly_mul
 from cyclejoin.lfsr import (
     Lfsr,
     StateBasis,
@@ -89,12 +89,54 @@ def test_solve_initial_state():
         solve_initial_state(0b10011, 4)  # 4 does not divide 15
 
 
-@pytest.mark.parametrize("q,t", [(0b100101, 1), (0b1000011, 3), (0b1000011, 7), (0b100000000101, 89)])
-def test_solve_initial_state_property(q, t):
-    s0 = solve_initial_state(q, t)
+def _subfield_degree(n: int, t: int) -> int:
+    """Degree of alpha^t over GF(2), alpha primitive of degree n: the order of 2 mod (2^n-1)/t."""
+    e = ((1 << n) - 1) // t
+    d = 1
+    while e > 1 and pow(2, d, e) != 1:
+        d += 1
+    return d
+
+
+def _check_solve(q, t):
     reg = Lfsr(q)
+    if _subfield_degree(reg.n, t) < reg.n:
+        # alpha^t lies in a proper subfield: its decimation has a shorter
+        # recurrence, so no state makes it open with (1, 0, ..., 0)
+        with pytest.raises(ValueError, match="proper subfield"):
+            solve_initial_state(q, t)
+        return
+    s0 = solve_initial_state(q, t)
     seq = reg.generate(s0, t * reg.n)
     assert decimate(seq, t, count=reg.n) == [1] + [0] * (reg.n - 1)
+
+
+@pytest.mark.parametrize(
+    "q,t",
+    [
+        (0b100101, 1),
+        (0b1000011, 3),
+        (0b1000011, 7),
+        (0b100000000101, 89),
+        (0b10011, 5),  # alpha^5 lies in GF(4)
+        (0b1000011, 9),  # alpha^9 lies in GF(8)
+    ],
+)
+def test_solve_initial_state_property(q, t):
+    _check_solve(q, t)
+
+
+def test_solve_initial_state_every_primitive_up_to_degree_8():
+    tried = 0
+    for n in range(1, 9):
+        for q in range(1 << n, 1 << (n + 1)):
+            if not is_primitive(q):
+                continue
+            for t in range(1, 1 << n):
+                if ((1 << n) - 1) % t == 0:
+                    _check_solve(q, t)
+                    tried += 1
+    assert tried > 100
 
 
 N7_FACTORS = [0b11, 0b111, 0b11111]
