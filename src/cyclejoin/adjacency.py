@@ -32,7 +32,7 @@ carries that merged residue down, and level i only visits the local
 pairs whose shifts match it modulo gcd(e_i, lcm of the periods above).
 The CRT constants of a merge depend on one side and one level only:
 they are the cycle's ``cycles.shift_levels``, the shift rule's one
-home, read once per cycle, so each merge is a few integer operations.
+home, so each merge is a few integer operations.
 The tables are grouped by those residues once and the groups keep
 table order, so the pairs come out in the product's
 lexicographic order.  Every partial tuple visited is compatible as far
@@ -43,10 +43,15 @@ S.  The joint state v is the XOR of one basis image per level (compose
 is linear), read from the factor's orbit table and the basis's
 per-factor image table.
 
+The descent has one home, ``PairSearch``, addressed by cycle index
+and built once per register.  It reads each cycle's table rows, shift
+constants and candidate partners once; the graph build's counts, the
+bundle lookups and the greedy tree's probes all go through it.
+
 The graph knows its multiplicities first: the build counts the tuples
 at the last level of the descent and lists none.  Counting, the tree
 stream's skip and the sampler's walk read only those counts; a
-bundle's pairs are found by the same descent the first time its edge
+bundle's pairs are found by the same search the first time its edge
 is read, which only emitted trees do, and kept.
 """
 
@@ -68,9 +73,7 @@ __all__ = [
     "represent_special_state",
     "LocalPairTable",
     "build_local_tables",
-    "candidate_partners",
-    "conjugate_pairs",
-    "first_conjugate_pair",
+    "PairSearch",
     "build_graph",
     "PairBundles",
     "AdjacencyGraph",
@@ -134,9 +137,6 @@ class LocalPairTable:
 
     def __init__(self, factor, shift: int, cycle_id: int, block: int):
         self.factor = factor
-        self.c = shift
-        self.d = cycle_id
-        self.block = block
         t, e, where = factor.t, factor.order, factor.positions()
         table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         partners = [[] for _ in range(t + 1)]
@@ -151,10 +151,10 @@ class LocalPairTable:
                     table[(j, k)] = tuple(row)
                     partners[j].append(k)
         # zero-cycle rows: the nonzero side must be the block's own cycle
-        table[(t, self.d)] = ((0, self.c),)
-        table[(self.d, t)] = ((self.c, 0),)
-        partners[t].append(self.d)
-        partners[self.d].append(t)  # t is above every nonzero index: still ascending
+        table[(t, cycle_id)] = ((0, shift),)
+        table[(cycle_id, t)] = ((shift, 0),)
+        partners[t].append(cycle_id)
+        partners[cycle_id].append(t)  # t is above every nonzero index: still ascending
         self._table = table
         self.partners = partners
         self._buckets = {}
@@ -188,51 +188,84 @@ def build_local_tables(factors, rep: SpecialStateRep) -> list[LocalPairTable]:
     ]
 
 
-def _table_key(c: CycleDescriptor, tables) -> tuple[int, ...]:
-    """Per factor, the cycle's row in the local table: its index, or t if inactive."""
-    return tuple(j if a else tbl.factor.t for a, j, tbl in zip(c.flags, c.indices, tables))
+class PairSearch:
+    """The conjugate-pair descent between any two cycles, addressed by index.
 
-
-def candidate_partners(cycles: CycleSet, tables) -> list[list[int]]:
-    """Per cycle, ascending, the cycles it may share a conjugate pair with.
+    Built once per register, it holds per cycle what every descent from
+    that cycle reads: its row in each factor's local table (its component
+    index, or t if inactive), its per-level constants (l, g, m, q, inv),
+    l its shift and the rest its ``cycles.shift_levels``, and
+    ``partners[i]``, ascending, the cycles it may share a pair with.  A
+    local shift u at level i merges as the congruence u - l, so a side's
+    merged residue r becomes r + m * ((u - l - r) // g * inv % q).
 
     A pair needs a local pair in every factor, so the candidates of a
-    cycle are the cycles whose table keys are nonempty against its own
-    in every factor's table: the product of the tables' partner lists,
-    each key standing for every shift of its component cycles.  Cycles
-    with one key share one list.  Two sides both inactive in some factor
+    cycle are the cycles whose rows are nonempty against its own in
+    every factor's table: the product of the tables' partner lists, each
+    row standing for every shift of its component cycles.  Cycles with
+    one row tuple share one list.  Two sides both inactive in some factor
     have no row there, so such pairs never come up.
     """
-    keys = [_table_key(c, tables) for c in cycles]
-    members = {}
-    for i, key in enumerate(keys):
-        members.setdefault(key, []).append(i)
-    lists = {
-        key: sorted(
-            chain.from_iterable(
-                members[k] for k in product(*(tbl.partners[j] for tbl, j in zip(tables, key)))
+
+    def __init__(self, cycles: CycleSet, tables, factors, basis: StateBasis):
+        self._tables = tables
+        self._factors = factors
+        self._basis = basis
+        orders = [f.order for f in factors]
+        self._keys = [
+            tuple(j if a else tbl.factor.t for a, j, tbl in zip(c.flags, c.indices, tables))
+            for c in cycles
+        ]
+        self._sides = [
+            [(l, *lv) for l, lv in zip(c.shifts, shift_levels(c.flags, orders))] for c in cycles
+        ]
+        members = {}
+        for i, key in enumerate(self._keys):
+            members.setdefault(key, []).append(i)
+        lists = {
+            key: sorted(
+                chain.from_iterable(
+                    members[k]
+                    for k in product(*(tbl.partners[j] for tbl, j in zip(tables, key)))
+                )
             )
-        )
-        for key in members
-    }
-    return [lists[key] for key in keys]
+            for key in members
+        }
+        self.partners = [lists[key] for key in self._keys]
 
+    def _levels(self, i: int, j: int) -> list[tuple]:
+        """The descent's levels: residue groups, then (l, g, m, q, inv) per side."""
+        return [
+            (tbl.buckets(a, b, lv1[1], lv2[1]), *lv1, *lv2)
+            for tbl, a, b, lv1, lv2 in zip(
+                self._tables, self._keys[i], self._keys[j], self._sides[i], self._sides[j]
+            )
+        ]
 
-def _side(c: CycleDescriptor, factors) -> tuple[tuple[int, ...], list[tuple]]:
-    """One side of a descent: the cycle's shifts and its shift_levels constants.
+    def count(self, i: int, j: int) -> int:
+        """Number of conjugate pairs between cycles i and j, none listed."""
+        return _count(self._levels(i, j), 0, 0, 0)
 
-    A local shift u at level i merges as the congruence u - l, so the
-    side's merged residue r becomes r + m * ((u - l - r) // g * inv % q).
-    """
-    return c.shifts, shift_levels(c.flags, [f.order for f in factors])
+    def pairs(self, i: int, j: int):
+        """Yield the conjugate pairs between cycles i and j as their states v on cycle i.
 
-
-def _levels(key1, side1, key2, side2, tables) -> list[tuple]:
-    """The descent's levels between two sides: residue groups, then (l, g, m, q, inv) per side."""
-    return [
-        (tbl.buckets(j, k, lv1[0], lv2[0]), l1, *lv1, l2, *lv2)
-        for tbl, j, k, l1, lv1, l2, lv2 in zip(tables, key1, key2, *side1, *side2)
-    ]
+        Every tuple of per-factor local pairs whose shifts satisfy the
+        pairwise congruences (modulo gcds of the active periods of each
+        side) lifts to exactly one pair.  Level k of the descent keeps
+        only the local pairs whose shifts agree, modulo gcd(e_k, lcm of
+        the periods above), with the residue each side has merged so
+        far, then merges its own congruence and descends.  The pairs come
+        out in the lexicographic order of the product of the local
+        tables, so the order is reproducible, and only compatible partial
+        tuples are ever visited.  With i == j the cycle's self-pairs come
+        out, each once per orientation.
+        """
+        # an inactive v side only meets the zero-cycle row (0, c): u = 0, state 0
+        views = [
+            (f.orbit(a), self._basis.slot_images(k)) if a < f.t else _ZERO_VIEW
+            for k, (a, f) in enumerate(zip(self._keys[i], self._factors))
+        ]
+        return _descend(self._levels(i, j), views, 0, 0, 0, 0)
 
 
 def _count(levels, i: int, r1: int, r2: int) -> int:
@@ -267,18 +300,6 @@ def _count(levels, i: int, r1: int, r2: int) -> int:
     return total
 
 
-def _iter_pairs(c1, c2, tables, factors, basis):
-    """Yield conjugate pairs between two cycles as their states v on c1's side."""
-    key1, key2 = _table_key(c1, tables), _table_key(c2, tables)
-    levels = _levels(key1, _side(c1, factors), key2, _side(c2, factors), tables)
-    # an inactive v side only meets the zero-cycle row (0, c): u = 0, state 0
-    views = [
-        (f.orbit(j), basis.slot_images(i)) if a else _ZERO_VIEW
-        for i, (a, j, f) in enumerate(zip(c1.flags, c1.indices, factors))
-    ]
-    yield from _descend(levels, views, 0, 0, 0, 0)
-
-
 _ZERO_VIEW = ((0,), (0,))
 
 
@@ -302,31 +323,6 @@ def _descend(levels, views, i, r1, r2, v):
         )
 
 
-def conjugate_pairs(c1, c2, tables, factors, basis) -> tuple[int, ...]:
-    """All conjugate pairs shared by two distinct cycles.
-
-    Every tuple of per-factor local pairs whose shifts satisfy the
-    pairwise congruences (modulo gcds of the active periods of each
-    side) lifts to exactly one pair.  The tuples are found by a descent
-    over the factors: level i keeps only the local pairs whose shifts
-    agree, modulo gcd(e_i, lcm of the periods above), with the residue
-    each side has merged so far, then merges its own congruence and
-    descends.  The pairs come out in the lexicographic order of the
-    product of the local tables, so the order is reproducible, and
-    only compatible partial tuples are ever visited.
-    """
-    if c1 == c2:
-        raise ValueError("conjugate pairs are reported between distinct cycles only")
-    return tuple(_iter_pairs(c1, c2, tables, factors, basis))
-
-
-def first_conjugate_pair(c1, c2, tables, factors, basis):
-    """First conjugate pair's v between two cycles, or None; stops at the first hit."""
-    if c1 == c2:
-        raise ValueError("conjugate pairs are reported between distinct cycles only")
-    return next(_iter_pairs(c1, c2, tables, factors, basis), None)
-
-
 class PairBundles(Mapping):
     """Read-only map from an edge (i, j) to the pairs it bundles, found on demand.
 
@@ -335,9 +331,9 @@ class PairBundles(Mapping):
     whatever reads only multiplicities never runs a pair descent.
     """
 
-    def __init__(self, counts: dict[tuple[int, int], int], find):
+    def __init__(self, counts: dict[tuple[int, int], int], search: PairSearch):
         self.counts = counts
-        self._find = find
+        self._search = search
         self._found = None
 
     def __getitem__(self, key) -> tuple[int, ...]:
@@ -346,7 +342,7 @@ class PairBundles(Mapping):
             self._found = dict.fromkeys(self.counts)
         pairs = self._found[key]
         if pairs is None:
-            pairs = self._found[key] = self._find(*key)
+            pairs = self._found[key] = tuple(self._search.pairs(*key))
         return pairs
 
     def __contains__(self, key) -> bool:
@@ -444,29 +440,23 @@ class AdjacencyGraph:
 def build_graph(cycles: CycleSet, tables, factors, basis, rep) -> AdjacencyGraph:
     """The full adjacency graph: every cycle pair's multiplicity, pairs on demand.
 
-    Only the candidate partners of each cycle are searched, and the
-    search counts the tuples at its last level instead of listing them.
-    The edges keep the order of a scan over (i, j), i < j; a bundle's
-    pairs are found by conjugate_pairs the first time its edge is read.
+    One PairSearch serves the count and every later bundle lookup: only
+    the candidate partners of each cycle are searched, and the search
+    counts the tuples at its last level instead of listing them.  The
+    edges keep the order of a scan over (i, j), i < j; a bundle's pairs
+    are found by the same search the first time its edge is read.
     Self-pairs are never looked at (the graph has no loops by
     definition, and they are useless for joining).  ``rep`` is not read;
     the tables already hold the special state's blocks.
     """
-    descs = cycles.cycles
-    keys = [_table_key(c, tables) for c in descs]
-    sides = [_side(c, factors) for c in descs]
+    search = PairSearch(cycles, tables, factors, basis)
     counts = {}
-    for i, partners in enumerate(candidate_partners(cycles, tables)):
-        key, side = keys[i], sides[i]
+    for i, partners in enumerate(search.partners):
         for j in partners[bisect_right(partners, i) :]:
-            mult = _count(_levels(key, side, keys[j], sides[j], tables), 0, 0, 0)
+            mult = search.count(i, j)
             if mult:
                 counts[(i, j)] = mult
-
-    def find(i, j):
-        return conjugate_pairs(descs[i], descs[j], tables, factors, basis)
-
-    return AdjacencyGraph(len(descs), PairBundles(counts, find))
+    return AdjacencyGraph(len(cycles), PairBundles(counts, search))
 
 
 def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:

@@ -204,7 +204,7 @@ def cmd_count(args) -> int:
 
 def _initial_state(inst, args) -> int:
     init = 0
-    if args.initial_state:
+    if args.initial_state is not None:
         init = parse_state(args.initial_state)
         if init >> inst.n:
             raise ValueError(f"initial state must have {inst.n} bits")

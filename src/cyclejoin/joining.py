@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import getitem
 
-from .adjacency import AdjacencyGraph, candidate_partners, first_conjugate_pair
+from .adjacency import AdjacencyGraph, PairSearch
 from .cycles import CycleSet
 from .lfsr import Lfsr, state_to_str
 
@@ -247,14 +247,14 @@ def greedy_connected_subgraph(cycles: CycleSet, tables, factors, basis, rep) -> 
 
     Starting from the first cycle, each processed cycle is probed
     against every still-unreached candidate partner (ascending) for a
-    single conjugate pair; newly reached cycles join the frontier
-    (processed in ascending index order).  Useful when the complete
-    pair computation is too expensive and any one tree suffices.
+    single conjugate pair, all through one PairSearch; newly reached
+    cycles join the frontier (processed in ascending index order).
+    Useful when the complete pair computation is too expensive and any
+    one tree suffices.
     ``rep`` is not read; the tables already hold the special state's blocks.
     """
-    descs = cycles.cycles
-    psi = len(descs)
-    partners = candidate_partners(cycles, tables)
+    search = PairSearch(cycles, tables, factors, basis)
+    psi = len(cycles)
     reached = bytearray(psi)
     reached[0] = 1
     frontier = [0]
@@ -262,11 +262,11 @@ def greedy_connected_subgraph(cycles: CycleSet, tables, factors, basis, rep) -> 
     while frontier and sum(reached) < psi:
         cur = min(frontier)
         frontier.remove(cur)
-        for j in partners[cur]:
+        for j in search.partners[cur]:
             if reached[j]:
                 continue
             a, b = (cur, j) if cur < j else (j, cur)
-            pair = first_conjugate_pair(descs[a], descs[b], tables, factors, basis)
+            pair = next(search.pairs(a, b), None)
             if pair is not None:
                 edges[(a, b)] = (pair,)
                 reached[j] = 1

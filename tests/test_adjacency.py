@@ -4,10 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cyclejoin.adjacency import (
-    _iter_pairs,
+    PairSearch,
     best_count,
-    conjugate_pairs,
-    first_conjugate_pair,
     int_log2,
     represent_special_state,
 )
@@ -160,18 +158,37 @@ def test_zero_cycle_single_pair():
     assert g.edges[(0, 15)] == (0,)  # v = 0, conjugate v ^ 1 = S
 
 
-def test_conjugate_pairs_requires_distinct_cycles():
-    inst = FactoredLfsr.from_strings(N7)
-    c = inst.cycles[3]
-    with pytest.raises(ValueError):
-        conjugate_pairs(c, c, inst.tables, inst.factors, inst.basis)
+def _search(inst):
+    return PairSearch(inst.cycles, inst.tables, inst.factors, inst.basis)
+
+
+@pytest.mark.parametrize("facs", [N7, "1011,1101"])
+def test_self_pairs_match_brute_force(facs):
+    # pairs(i, i) yields the states v of cycle i whose conjugate v ^ 1 is on
+    # cycle i too; with x + 1 a factor (N7) there are none
+    inst = FactoredLfsr.from_strings(facs)
+    search = _search(inst)
+    found = 0
+    for i, c in enumerate(inst.cycles):
+        v = inst.representative(i)
+        orbit = set()
+        for _ in range(c.period):
+            orbit.add(v)
+            v = inst.lfsr.step(v)
+        got = list(search.pairs(i, i))
+        assert len(got) == len(set(got)) == search.count(i, i)
+        assert set(got) == {v for v in orbit if v ^ 1 in orbit}
+        found += len(got)
+    assert (found == 0) == (facs == N7)
 
 
 def test_conjugate_pairs_missing_component_on_both_sides():
     inst = FactoredLfsr.from_strings(N7)
+    search = _search(inst)
     # V2 = [u2[0]] and V3 = [u3[0]] both lack the first factor
-    got = conjugate_pairs(inst.cycles[1], inst.cycles[2], inst.tables, inst.factors, inst.basis)
-    assert got == ()
+    assert tuple(search.pairs(1, 2)) == ()
+    assert search.count(1, 2) == 0
+    assert 2 not in search.partners[1]
 
 
 def _pair_oracle(inst):
@@ -291,10 +308,15 @@ def test_cofactor_invariance_small_graphs():
 
 @pytest.mark.parametrize("facs", ["10011,11111", "1011,1101"])
 def test_aggregate_counts_match_cyclotomic_products(facs):
-    # summed pair counts over all shift placements equal the product of
-    # cyclotomic numbers of the shared components (same-cycle matches
-    # counted twice, once per orientation)
+    """Summed pair counts over all shift placements are cyclotomic products.
+
+    The sum over every ordered cycle pair of a component pattern equals
+    the product of the cyclotomic numbers of the shared components.
+    Same-cycle pairs are read as pairs(i, i), which yields a cycle's
+    self-pairs once per orientation, so they are counted twice.
+    """
     inst = FactoredLfsr.from_strings(facs)
+    search = _search(inst)
     by_pattern = {}
     descs = inst.cycles.cycles
     for i, c1 in enumerate(descs):
@@ -302,15 +324,7 @@ def test_aggregate_counts_match_cyclotomic_products(facs):
             if not any(c1.flags) or not any(c2.flags):
                 continue
             key = (c1.flags, c1.indices, c2.flags, c2.indices)
-            if i == j:
-                cnt = sum(
-                    1
-                    for _ in _iter_pairs(c1, c2, inst.tables, inst.factors, inst.basis)
-                )
-            else:
-                cnt = len(
-                    conjugate_pairs(c1, c2, inst.tables, inst.factors, inst.basis)
-                )
+            cnt = sum(1 for _ in search.pairs(i, j))
             by_pattern[key] = by_pattern.get(key, 0) + cnt
     for (f1, j1, f2, j2), total in by_pattern.items():
         if any(not a and not b for a, b in zip(f1, f2)):
@@ -380,14 +394,34 @@ def test_coprime_primitive_counts():
 
 def test_first_conjugate_pair():
     inst = FactoredLfsr.from_strings(N7)
-    descs = inst.cycles.cycles
-    full = conjugate_pairs(descs[5], descs[13], inst.tables, inst.factors, inst.basis)
-    first = first_conjugate_pair(descs[5], descs[13], inst.tables, inst.factors, inst.basis)
-    assert first == full[0]
-    assert (
-        first_conjugate_pair(descs[1], descs[2], inst.tables, inst.factors, inst.basis)
-        is None
-    )
+    search = _search(inst)
+    full = tuple(search.pairs(5, 13))
+    assert len(full) == search.count(5, 13) == 4
+    assert full == inst.graph().edges[(5, 13)]
+    assert next(search.pairs(5, 13), None) == full[0]
+    assert next(search.pairs(1, 2), None) is None
+
+
+def test_each_cycle_is_set_up_once_per_search(monkeypatch):
+    # dense-count in the benchmark: psi = 236, 3,545 edges
+    from cyclejoin import adjacency
+
+    calls = []
+    real = adjacency.shift_levels
+
+    def spy(flags, orders):
+        calls.append(flags)
+        return real(flags, orders)
+
+    monkeypatch.setattr(adjacency, "shift_levels", spy)
+    inst = FactoredLfsr.from_strings("11,1011110010111")
+    inst.greedy_tree()
+    assert len(calls) == inst.psi == 236
+    calls.clear()
+    graph = inst.graph()
+    assert len(calls) == 236
+    assert sum(len(graph.edges[e]) for e in graph.edges) == sum(graph.multiplicities.values())
+    assert len(calls) == 236
 
 
 def test_int_log2():

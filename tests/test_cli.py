@@ -280,13 +280,13 @@ def test_pairs_are_found_only_for_emitted_trees(monkeypatch, capsys, factors):
     from cyclejoin import adjacency
 
     looked_up = []
-    real = adjacency.conjugate_pairs
+    real = adjacency.PairSearch.pairs
 
-    def spy(c1, c2, *args):
-        looked_up.append((c1, c2))
-        return real(c1, c2, *args)
+    def spy(search, i, j):
+        looked_up.append((i, j))
+        return real(search, i, j)
 
-    monkeypatch.setattr(adjacency, "conjugate_pairs", spy)
+    monkeypatch.setattr(adjacency.PairSearch, "pairs", spy)
     psi = FactoredLfsr.from_strings(factors).psi
     for argv in (("count",), ("analyze",), ("analyze", "--format", "json")):
         assert run(capsys, *argv, "--factors", factors)[0] == 0
@@ -450,6 +450,9 @@ def test_sample_on_disconnected_graph_exits_before_any_output(monkeypatch, capsy
         (("generate", "--tree-index", "-1"), "--tree-index must be nonnegative"),
         (("generate", "--partial", "--tree-index", "-3"), "--tree-index must be nonnegative"),
         (("generate", "--partial", "--tree-index", "3"), "--tree-index does not apply"),
+        (("generate", "--initial-state", ""), "cannot parse state"),
+        (("generate", "--partial", "--initial-state", ""), "cannot parse state"),
+        (("sample", "--initial-state", ""), "cannot parse state"),
     ],
 )
 def test_bad_arguments_are_rejected_before_the_graph_build(monkeypatch, capsys, argv, message):

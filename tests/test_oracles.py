@@ -4,9 +4,10 @@ networkx counts spanning trees by a floating-point Laplacian
 determinant and lists them with its own iterator, sympy tests
 irreducibility and powers of x over GF(2) with its own algorithms,
 brute-force state stepping (state_oracle) finds the register's cycles,
-and Berlekamp-Massey measures the linear complexity of the emitted
-sequences, which for a de Bruijn sequence of order n lies in
-[2^{n-1} + n, 2^n - 1] (Chan, Games and Key 1982).
+which the sweep over every register of degree at most 10 turns into
+pairs and a Bareiss count, and Berlekamp-Massey measures the linear
+complexity of the emitted sequences, which for a de Bruijn sequence of
+order n lies in [2^{n-1} + n, 2^n - 1] (Chan, Games and Key 1982).
 """
 
 import itertools
@@ -24,6 +25,7 @@ from cyclejoin.gf2 import is_irreducible, is_primitive
 from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree, spanning_trees
 from cyclejoin.pipeline import FactoredLfsr
 from state_oracle import cycle_labels
+from test_determinant import bareiss_det
 from test_pair_search import GOLDEN
 
 # every count below 2^50, so a float determinant rounds to the exact value
@@ -115,6 +117,88 @@ def test_greedy_tree_joins_the_brute_force_cycles(facs):
         assert (cycle_of[labels[v]], cycle_of[labels[v ^ 1]]) == (a, b)
         parent[find(a)] = find(b)
     assert len({find(c) for c in range(inst.psi)}) == 1
+
+
+SWEEP_IRREDUCIBLE = [
+    p for d in range(1, 11) for p in range(1 << d, 1 << (d + 1)) if p & 1 and is_irreducible(p)
+]
+
+
+def _factor_sets(n):
+    """Every set of pairwise distinct irreducibles (x excluded) of total degree n."""
+    sets = []
+
+    def extend(start, picked, total):
+        if total == n:
+            sets.append(list(picked))
+            return
+        for k in range(start, len(SWEEP_IRREDUCIBLE)):
+            p = SWEEP_IRREDUCIBLE[k]
+            if total + p.bit_length() - 1 > n:
+                break  # ascending degrees: every later factor is too big too
+            picked.append(p)
+            extend(k + 1, picked, total + p.bit_length() - 1)
+            picked.pop()
+
+    extend(0, [], 0)
+    return sets
+
+
+def test_factor_sets_of_the_sweep():
+    assert sum(len(_factor_sets(n)) for n in range(2, 11)) == 681
+
+
+def _brute_force_bundles(inst):
+    """Per state, its cycle index, and per edge the set of its pairs' states v.
+
+    Cycles come from stepping the register (state_oracle.cycle_labels);
+    every state v with a zero first bit is tested against v ^ 1.
+    """
+    labels = cycle_labels(inst.lfsr)
+    cycle_of = {labels[inst.representative(i)]: i for i in range(inst.psi)}
+    assert len(cycle_of) == inst.psi == max(labels) + 1
+    index = [cycle_of[label] for label in labels]
+    bundles = {}
+    for v in range(0, 1 << inst.n, 2):
+        a, b = index[v], index[v ^ 1]
+        if a > b:
+            a, b, v = b, a, v ^ 1
+        if a != b:
+            bundles.setdefault((a, b), set()).add(v)
+    return index, bundles
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_every_small_register_matches_brute_force(n):
+    for polys in _factor_sets(n):
+        inst = FactoredLfsr(polys)
+        index, bundles = _brute_force_bundles(inst)
+        graph = inst.graph()
+        assert graph.multiplicities == {e: len(vs) for e, vs in bundles.items()}, polys
+        for e, vs in bundles.items():
+            pairs = graph.edges[e]
+            assert len(pairs) == len(set(pairs)) and set(pairs) == vs, (polys, e)
+        minor = [[0] * (inst.psi - 1) for _ in range(inst.psi - 1)]
+        for (a, b), vs in bundles.items():
+            for i, j in ((a, b), (b, a)):
+                if i:
+                    minor[i - 1][i - 1] += len(vs)
+                    if j:
+                        minor[i - 1][j - 1] -= len(vs)
+        assert best_count(graph) == bareiss_det(minor), polys
+        parent = list(range(inst.psi))
+
+        def find(c):
+            while parent[c] != c:
+                c = parent[c]
+            return c
+
+        tree = inst.greedy_tree().edges
+        assert len(tree) == inst.psi - 1
+        for (a, b), (v,) in tree.items():
+            assert (index[v], index[v ^ 1]) == (a, b), polys
+            parent[find(a)] = find(b)
+        assert len({find(c) for c in range(inst.psi)}) == 1, polys
 
 
 def test_is_irreducible_matches_sympy_up_to_degree_10():
