@@ -23,14 +23,7 @@ import random
 import sys
 
 from .adjacency import best_count, int_log2
-from .joining import (
-    g_trees,
-    join_cycles,
-    random_spanning_tree,
-    spanning_trees,
-    tree_multiplicity,
-    verify_de_bruijn,
-)
+from .joining import g_trees, join_cycles, random_spanning_tree, verify_de_bruijn
 from .lfsr import parse_state, state_to_str
 from .gf2 import degree
 from .pipeline import FactoredLfsr, parse_factors
@@ -206,21 +199,23 @@ def _initial_state(inst, args) -> int:
     init = 0
     if args.initial_state is not None:
         init = parse_state(args.initial_state)
-        if init >> inst.n:
+        # whitespace is skipped, as parse_state skips it
+        if len("".join(args.initial_state.split())) != inst.n:
             raise ValueError(f"initial state must have {inst.n} bits")
     return init
 
 
 def _emit_sequences(inst, trees, init: int, args) -> int:
     if args.format == "json":
-        # written piece by piece, each sequence right after its join; the
-        # bytes equal json.dumps of the whole document
+        # written piece by piece, each sequence right after its join and the
+        # opening with the first, so an error on the first draw prints
+        # nothing; the bytes equal json.dumps of the whole document
         out = sys.stdout
-        out.write(f'{{"n": {inst.n}, "psi": {inst.psi}, "sequences": [')
         trees_doc = []
         for k, tree in enumerate(trees):
             s = join_cycles(tree, inst.lfsr, init)
-            out.write((", " if k else "") + json.dumps(s.packed_hex() if args.hex else s.bits))
+            head = ", " if k else f'{{"n": {inst.n}, "psi": {inst.psi}, "sequences": ['
+            out.write(head + json.dumps(s.packed_hex() if args.hex else s.bits))
             if args.provenance:
                 trees_doc.append(
                     [[state_to_str(v, inst.n), state_to_str(v ^ 1, inst.n)] for v in s.pairs]
@@ -254,14 +249,7 @@ def cmd_generate(args) -> int:
         tree_graph = inst.greedy_tree()
         pairs = tuple(ps[0] for ps in tree_graph.edges.values())
         return _emit_sequences(inst, [pairs], init, args)
-    graph = inst.graph()
-    trees = g_trees(graph, args.limit, args.tree_index)
-    # an index past the first condensed tree may lie past the last one, where
-    # skipping tree by tree would never end; the determinant settles it at once
-    first = next(spanning_trees(graph))
-    if args.tree_index >= tree_multiplicity(graph, first) and args.tree_index >= best_count(graph):
-        raise ValueError("tree index is past the last spanning tree")
-    return _emit_sequences(inst, trees, init, args)
+    return _emit_sequences(inst, g_trees(inst.graph(), args.limit, args.tree_index), init, args)
 
 
 def cmd_sample(args) -> int:
@@ -271,8 +259,6 @@ def cmd_sample(args) -> int:
     init = _initial_state(inst, args)
     rng = random.Random(args.seed)
     graph = inst.graph()
-    if not graph.is_connected():
-        raise ValueError("graph is disconnected: no spanning tree exists")
     # each tree is drawn just before its join, so output streams; joins
     # never touch the rng, so the draws do not depend on when they happen
     trees = (random_spanning_tree(graph, rng) for _ in range(args.limit))

@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import getitem
 
-from .adjacency import AdjacencyGraph, PairSearch
+from .adjacency import AdjacencyGraph, PairSearch, best_count
 from .cycles import CycleSet
 from .lfsr import Lfsr, state_to_str
 
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-def spanning_trees(graph: AdjacencyGraph, limit: int | None = None):
+def spanning_trees(graph: AdjacencyGraph):
     """Yield spanning trees of the condensed graph as edge tuples.
 
     Complete and duplicate-free, by recursive frontier search: visit
@@ -64,8 +64,7 @@ def spanning_trees(graph: AdjacencyGraph, limit: int | None = None):
     that provably contain no spanning tree, without touching the yield
     order: a neighbor whose last unchecked neighbor is the current
     vertex must be taken now, and every unlisted vertex must stay
-    reachable from the unchecked frontier.  Stops after `limit` trees
-    when given.
+    reachable from the unchecked frontier.
     """
     psi = graph.num_vertices
     if not graph.is_connected():
@@ -132,10 +131,7 @@ def spanning_trees(graph: AdjacencyGraph, limit: int | None = None):
             unchecked_nbrs[u] += 1
         checked[vbar] = 0
 
-    trees = rec()
-    if limit is not None:
-        trees = itertools.islice(trees, limit)
-    return trees
+    return rec()
 
 
 def _edge_key(e):
@@ -161,7 +157,9 @@ def g_trees(graph: AdjacencyGraph, limit: int | None = None, start: int = 0):
     at a time, by multiplicity, and the count inside the tree that holds
     the start-th one begins at the remainder's digits.  Only the trees
     that are emitted read their bundles' pairs.  Stops after `limit`
-    trees when given.
+    trees when given.  Raises ValueError at once if start is negative or
+    the graph is disconnected, and on the first draw if start is at or
+    past zeta_G, the number of trees.
     """
     if start < 0:
         raise ValueError("start must be nonnegative")
@@ -174,11 +172,15 @@ def g_trees(graph: AdjacencyGraph, limit: int | None = None, start: int = 0):
 
 def _expand(graph: AdjacencyGraph, condensed, start: int):
     mult = graph.multiplicities
-    for tree in condensed:
+    for t, tree in enumerate(condensed):
         keys = [_edge_key(e) for e in tree]
         radix = [mult[k] for k in keys]
         total = math.prod(radix)
         if start >= total:
+            # a start past the first tree may lie past the last one, where
+            # skipping tree by tree would never end; the determinant settles it
+            if t == 0 and start >= best_count(graph):
+                raise ValueError("tree index is past the last spanning tree")
             start -= total
             continue
         bundles = [graph.edges[k] for k in keys]

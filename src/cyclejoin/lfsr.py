@@ -102,10 +102,6 @@ class Lfsr:
     def __repr__(self):
         return f"Lfsr({format_poly(self.poly)})"
 
-    def step(self, state: int) -> int:
-        b = (state & self.taps).bit_count() & 1
-        return (state >> 1) | b << (self.n - 1)
-
     def generate(self, init, length: int) -> list[int]:
         """First `length` output bits from the given initial state."""
         state = init if isinstance(init, int) else bits_to_state(init)

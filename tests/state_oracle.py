@@ -18,6 +18,12 @@ def state_to_bits(v: int, n: int) -> tuple[int, ...]:
     return tuple(v >> i & 1 for i in range(n))
 
 
+def step(reg: Lfsr, state: int) -> int:
+    """The successor of a state: the parity of the tapped bits enters at the top."""
+    feedback = (state & reg.poly & ~(1 << reg.n)).bit_count() & 1
+    return (state >> 1) | feedback << (reg.n - 1)
+
+
 def companion(reg: Lfsr) -> list[int]:
     """Companion matrix of the register's characteristic polynomial (row masks).
 
@@ -54,7 +60,7 @@ def advance(reg: Lfsr, state: int, k: int) -> int:
         raise ValueError("k must be nonnegative; reduce shifts modulo the period first")
     if k <= 4 * reg.n:
         for _ in range(k):
-            state = reg.step(state)
+            state = step(reg, state)
         return state
     return _vec_mat(state, mat_pow(companion(reg), k))
 
@@ -91,7 +97,7 @@ def cycle_labels(reg: Lfsr) -> list[int]:
     for v in range(1 << reg.n):
         while labels[v] < 0:
             labels[v] = count
-            v = reg.step(v)
+            v = step(reg, v)
         if labels[v] == count:
             count += 1
     return labels

@@ -20,6 +20,7 @@ from cyclejoin.joining import (
 from cyclejoin.lfsr import state_to_str
 from cyclejoin.pipeline import FactoredLfsr
 from field_oracle import CyclotomicParams, FieldContext, cyclotomic_number
+from state_oracle import step
 
 # golden desk-scale instances (factors, n, psi)
 GOLDEN_ROWS_N12 = [
@@ -137,7 +138,7 @@ def _oracle_edges(inst):
         orbit = []
         for _ in range(c.period):
             orbit.append(v)
-            v = inst.lfsr.step(v)
+            v = step(inst.lfsr, v)
         orbits.append((orbit, set(orbit)))
     edges = {}
     for i in range(inst.psi):
@@ -225,7 +226,7 @@ def test_criterion_6_structural_invariants():
                     orbit = set()
                     for _ in range(c.period):
                         orbit.add(v)
-                        v = inst.lfsr.step(v)
+                        v = step(inst.lfsr, v)
                     assert not any(u ^ 1 in orbit for u in orbit)
 
 

@@ -13,7 +13,7 @@ from cyclejoin.gf2 import is_irreducible
 from cyclejoin.lfsr import state_to_str
 from cyclejoin.pipeline import FactoredLfsr
 from field_oracle import CyclotomicParams, FieldContext, cyclotomic_number
-from state_oracle import advance, locate_state
+from state_oracle import advance, locate_state, step
 
 N7 = "11,111,11111"
 
@@ -174,7 +174,7 @@ def test_self_pairs_match_brute_force(facs):
         orbit = set()
         for _ in range(c.period):
             orbit.add(v)
-            v = inst.lfsr.step(v)
+            v = step(inst.lfsr, v)
         got = list(search.pairs(i, i))
         assert len(got) == len(set(got)) == search.count(i, i)
         assert set(got) == {v for v in orbit if v ^ 1 in orbit}
@@ -199,7 +199,7 @@ def _pair_oracle(inst):
         orbit = []
         for _ in range(c.period):
             orbit.append(v)
-            v = inst.lfsr.step(v)
+            v = step(inst.lfsr, v)
         states.append((set(orbit), orbit))
     edges = {}
     for i in range(inst.psi):
@@ -353,7 +353,7 @@ def test_no_intra_cycle_pairs_when_x_plus_one_divides(facs):
         orbit = set()
         for _ in range(c.period):
             orbit.add(v)
-            v = inst.lfsr.step(v)
+            v = step(inst.lfsr, v)
         assert not any(v ^ 1 in orbit for v in orbit)
 
 

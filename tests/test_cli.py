@@ -109,6 +109,14 @@ def test_generate_initial_state_and_hex(capsys):
     assert int(outhex.strip(), 16) == int(seq, 2)
 
 
+def test_initial_state_skips_whitespace(capsys):
+    # seven bits once the space is skipped, as parse_state reads them
+    argv = ("generate", "--factors", "11,111,11111", "--limit", "1", "--initial-state")
+    code, spaced, _ = run(capsys, *argv, "100 0000")
+    assert code == 0 and spaced == run(capsys, *argv, "1000000")[1]
+    assert spaced.startswith("1000000")
+
+
 def test_generate_provenance(capsys):
     _, out, _ = run(
         capsys, "generate", "--factors", "11,1101,11001", "--limit", "1", "--provenance"
@@ -249,18 +257,21 @@ def test_generate_exhausts_stream_at_limit(capsys):
 
 
 @pytest.mark.parametrize(
-    "factors, index",
+    "factors, index, fmt",
     [
-        ("11,111,11111", 12485394432),  # zeta_G: one past the last tree
-        ("11,1011110010111", 10**400),
+        ("11,111,11111", 12485394432, "text"),  # zeta_G: one past the last tree
+        ("11,1011110010111", 10**400, "text"),
+        ("11,111,11111", 12485394432, "json"),
+        ("11,1011110010111", 10**400, "json"),
     ],
-    ids=["n7-zeta_G", "dense-count-10^400"],
+    ids=["n7-zeta_G", "dense-count-10^400", "n7-zeta_G-json", "dense-count-10^400-json"],
 )
-def test_generate_rejects_a_tree_index_past_the_end_quickly(capsys, factors, index):
+def test_generate_rejects_a_tree_index_past_the_end_quickly(capsys, factors, index, fmt):
     # skipping condensed trees one at a time ran for over 20 s on the first
     # and never ended on the second
     start = time.perf_counter()
-    code, out, err = run(capsys, "generate", "--factors", factors, "--tree-index", str(index))
+    argv = ("generate", "--factors", factors, "--tree-index", str(index), "--format", fmt)
+    code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 10
     assert code == 2 and out == ""
     assert "past the last spanning tree" in err
@@ -273,6 +284,25 @@ def test_generate_accepts_the_last_tree_index(capsys):
     assert code == 0 and len(out.split()) == 1
     code, _, err = run(capsys, *argv, "--tree-index", "926016")
     assert code == 2 and "past the last spanning tree" in err
+
+
+def test_generate_runs_one_tree_search(monkeypatch, capsys):
+    from cyclejoin import cli, joining
+
+    calls = []
+    real = joining.spanning_trees
+
+    def spy(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(joining, "spanning_trees", spy)
+    if hasattr(cli, "spanning_trees"):
+        monkeypatch.setattr(cli, "spanning_trees", spy)
+    argv = ("generate", "--factors", "11,1101,11001", "--tree-index", "5", "--limit", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out.split()) == 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("factors", ["11,111,11111", "1001001,10000001111"])
@@ -356,12 +386,13 @@ def test_json_output_streams_each_sequence(monkeypatch, argv):
         return joined[-1]
 
     monkeypatch.setattr(cli, "join_cycles", join)
-    argv = [*argv, "--format", "json", "--initial-state", "10110"]
+    inst = FactoredLfsr.from_strings(argv[2])
+    # the state 13, written with the register's n bits
+    argv = [*argv, "--format", "json", "--initial-state", "10110".ljust(inst.n, "0")]
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     assert code == 0
     assert sequences_before_join == [0, 1, 2]
-    inst = FactoredLfsr.from_strings(argv[2])
     doc = {"n": inst.n, "psi": inst.psi, "sequences": [shown(s) for s in joined]}
     if "--provenance" in argv:
         doc["trees"] = [
@@ -453,6 +484,11 @@ def test_sample_on_disconnected_graph_exits_before_any_output(monkeypatch, capsy
         (("generate", "--initial-state", ""), "cannot parse state"),
         (("generate", "--partial", "--initial-state", ""), "cannot parse state"),
         (("sample", "--initial-state", ""), "cannot parse state"),
+        (("generate", "--initial-state", "1"), "initial state must have 7 bits"),
+        (("generate", "--initial-state", "10000000000"), "initial state must have 7 bits"),
+        (("generate", "--initial-state", "00000000"), "initial state must have 7 bits"),
+        (("generate", "--partial", "--initial-state", "1"), "must have 7 bits"),
+        (("sample", "--initial-state", "10000000000"), "initial state must have 7 bits"),
     ],
 )
 def test_bad_arguments_are_rejected_before_the_graph_build(monkeypatch, capsys, argv, message):

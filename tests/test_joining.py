@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -58,12 +60,11 @@ def test_spanning_trees_disconnected():
         list(spanning_trees(g))
 
 
-def test_spanning_trees_row3_count_and_limit():
+def test_spanning_trees_row3_count_and_determinism():
     g = FactoredLfsr.from_strings(ROW3).graph()
     trees = list(spanning_trees(g))
     assert len(trees) == 15
     assert len(set(map(frozenset, trees))) == 15  # duplicate-free
-    assert list(spanning_trees(g, limit=4)) == trees[:4]
     # deterministic across runs
     assert list(spanning_trees(g)) == trees
 
@@ -104,7 +105,7 @@ def test_expansions():
 @pytest.mark.parametrize("facs", [ROW3, N7])
 def test_g_trees_start_matches_islice(facs):
     g = FactoredLfsr.from_strings(facs).graph()
-    first, second = (tree_multiplicity(g, t) for t in spanning_trees(g, limit=2))
+    first, second = (tree_multiplicity(g, t) for t in itertools.islice(spanning_trees(g), 2))
     # inside the first condensed tree, on both sides of its end, inside
     # the second tree, and several condensed trees in
     starts = [0, 1, 5, 17, first - 1, first, first + 1, first + second // 2, first + second - 1]
@@ -120,9 +121,24 @@ def test_g_trees_start_at_the_end():
     *_, last = spanning_trees(g)
     zg = best_count(g)
     assert list(g_trees(g, start=zg - 1)) == [tuple(b[-1] for b in _bundles(g, last))]
-    assert list(g_trees(g, start=zg)) == []
+    with pytest.raises(ValueError, match="past the last spanning tree"):
+        next(g_trees(g, start=zg))
     with pytest.raises(ValueError):
         g_trees(g, start=-1)
+
+
+@pytest.mark.parametrize(
+    "facs, start",
+    [(N7, None), ("11,1011110010111", 10**400)],
+    ids=["n7-zeta_G", "dense-count-10^400"],
+)
+def test_g_trees_past_the_end_raises_quickly(facs, start):
+    # skipping condensed trees one at a time never ended on dense-count
+    g = FactoredLfsr.from_strings(facs).graph()
+    begin = time.perf_counter()
+    with pytest.raises(ValueError, match="past the last spanning tree"):
+        next(g_trees(g, start=best_count(g) if start is None else start))
+    assert time.perf_counter() - begin < 10
 
 
 def test_g_tree_stream_total_count():
@@ -136,10 +152,20 @@ def test_g_tree_stream_total_count():
     assert count == 926016 == len(seen) == best_count(g)
 
 
+# SHA-256 over the reprs of all 1,451,520 condensed trees, in stream order
+N7_TREE_ORDER_SHA256 = "7845ded1738c83447ceede95ca31db1f5519de0b4f5b0d8d7fe638cc93b3b1e9"
+
+
 @pytest.mark.slow
 def test_n7_reference_full_tree_enumeration():
     g = FactoredLfsr.from_strings(N7).graph()
-    assert sum(1 for _ in spanning_trees(g)) == 1_451_520
+    digest = hashlib.sha256()
+    count = 0
+    for tree in spanning_trees(g):
+        digest.update(repr(tree).encode())
+        count += 1
+    assert count == 1_451_520
+    assert digest.hexdigest() == N7_TREE_ORDER_SHA256
 
 
 def test_n7_reference_edge_choice_count():
