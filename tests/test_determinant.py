@@ -6,6 +6,10 @@ rationals.  Neither shares code with the packed determinant, which
 must agree with both on the Laplacian minors of the golden instances,
 on drawn multigraphs (connected or not), and on weighted matrices built
 to reach the unlucky-prime fallback and entries beyond the modulus.
+The exact independent-set step before the primes gets its own edge
+cases: nothing left after it, a zero diagonal, a prime dividing the
+lcm of the eliminated diagonal, and a scaled Schur complement whose
+entries pass the modulus or whose first pivot vanishes mod p.
 """
 
 import itertools
@@ -17,8 +21,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclejoin import adjacency
 from cyclejoin.adjacency import (
     AdjacencyGraph,
+    _independent_schur,
     _is_prime,
     _pack,
     _pivoted_det_mod,
@@ -233,3 +239,115 @@ def test_pack_round_trip(slots):
     x = _pack(slots)
     assert x == sum(v << (64 * i) for i, v in enumerate(slots))
     assert _unpack(x, len(slots)) == slots
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to one of adjacency's functions."""
+    calls = []
+    inner = getattr(adjacency, name)
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(adjacency, name, spy)
+    return calls
+
+
+def _schur(a):
+    return _independent_schur(a, [a[i][i] for i in range(len(a))])
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[3]],
+        # a star centred on the removed vertex: the minor is diagonal
+        [[2, 0, 0], [0, 5, 0], [0, 0, 1]],
+        # the 1 x 1 minor of the register 111
+        _minor(FactoredLfsr.from_strings("111").graph(), False),
+    ],
+)
+def test_independent_set_takes_the_whole_minor(a, monkeypatch):
+    calls = _spy(monkeypatch, "_spd_det_mod")
+    assert _schur(a)[2] == []
+    assert _spd_det(a) == bareiss_det(a) == math.prod(a[i][i] for i in range(len(a)))
+    assert {len(rows) for rows, _ in calls} == {0}
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[0]],
+        [[0, 0], [0, 5]],
+        [[2, -1, 0], [-1, 2, 0], [0, 0, 0]],
+        [[4, 0, -2], [0, 0, 0], [-2, 0, 1]],
+    ],
+)
+def test_zero_diagonal_gives_zero(a):
+    assert _spd_det(a) == bareiss_det(a) == 0
+
+
+def test_prime_dividing_the_lcm_is_skipped(monkeypatch):
+    # I = {0} with d_0 = p1, the first prime for |R| = 2, so lam = p1
+    p1, p2 = itertools.islice(_slot_primes(2), 2)
+    a = [[p1, -1, -1], [-1, 3, -1], [-1, -1, 3]]
+    lam, dprod, upper = _schur(a)
+    assert (lam, dprod, len(upper)) == (p1, p1, 2)
+    assert max(abs(v) for entries in upper for _, v in entries) >= p1
+    calls = _spy(monkeypatch, "_spd_det_mod")
+    assert _spd_det(a) == bareiss_det(a) == _det_fraction(a)
+    assert [p for _, p in calls][:1] == [p2]
+
+
+def test_pivoted_fallback_through_spd_det(monkeypatch):
+    # I = {0, 2} with unit diagonal leaves lam S = [[p1, -1], [-1, 2]]:
+    # its first leading minor is p1, so p1 takes the pivoted elimination
+    p1 = next(_slot_primes(2))
+    a = [[1, -1, 0, 0], [-1, p1 + 1, 0, -1], [0, 0, 1, -1], [0, -1, -1, 3]]
+    assert _schur(a) == (1, 1, [[(0, p1), (1, -1)], [(0, 2)]])
+    calls = _spy(monkeypatch, "_pivoted_det_mod")
+    assert _spd_det(a) == bareiss_det(a) == 2 * p1 - 1
+    assert [p for _, _, p in calls] == [p1]
+
+
+@pytest.mark.parametrize("e, slot_by_slot", [(10, False), (30, False), (60, False), (100, True)])
+def test_scaled_schur_entries_past_the_modulus(e, slot_by_slot, monkeypatch):
+    # a weighted path: I = {0, 2, 4}, R = {1, 3}; the entries of lam S
+    # grow with e, from below p1 to one, two and three base digits past
+    # it, where each prime reduces the rows slot by slot
+    weights = [3, (1 << e) + 1, 5, (1 << e) - 1, 7]
+    a = _weighted_path_minor(weights)
+    lam, _, upper = _schur(a)
+    assert lam == math.lcm(3 + weights[1], 5 + weights[3], 7)
+    top = max(abs(v) for entries in upper for _, v in entries)
+    assert (top >= next(_slot_primes(2))) == (e >= 30)
+    calls = _spy(monkeypatch, "_reduced_row")
+    assert _spd_det(a) == math.prod(weights) == bareiss_det(a)
+    assert bool(calls) == slot_by_slot
+
+
+@st.composite
+def gram_matrices(draw):
+    # B^T B is positive semidefinite for any integer B; small entries give
+    # zero rows, singular matrices and zero leading minors of lam S
+    m = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 7))
+    b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=k, max_size=k))
+    return [[sum(row[i] * row[j] for row in b) for j in range(m)] for i in range(m)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(gram_matrices())
+def test_drawn_semidefinite_matrices_match_bareiss(a):
+    assert _spd_det(a) == bareiss_det(a)
+
+
+def test_dense_count_eliminates_half_the_minor_per_prime(monkeypatch):
+    # the greedy independent set is the first activity class, 117 of the
+    # 235 rows, so every prime eliminates the other 118
+    g = FactoredLfsr.from_strings(DENSE_FACTORS).graph()
+    for condensed, primes, expected in [(False, 43, DENSE_ZETA_G), (True, 41, DENSE_ZETA_GHAT)]:
+        calls = _spy(monkeypatch, "_spd_det_mod")
+        assert best_count(g, condensed) == expected
+        assert [len(rows) for rows, _ in calls] == [118] * primes
