@@ -25,13 +25,16 @@ among them, so the result is uniform over sequences of the class.
 A joined sequence is the register's cycles spliced at the tree's
 conjugate pairs, so it is emitted as O(psi) slices of the cycle
 strings that Lfsr.cycle_table builds once per register, not by
-stepping the joined register bit by bit.  The de Bruijn check reads
-all 2^n cyclic windows out of one big integer.
+stepping the joined register bit by bit.  The de Bruijn check builds
+the 2^n cyclic window values a byte at a time, out of one big integer
+with one byte per bit, and marks each in a table of 2^n bytes.
 """
 
 import itertools
 import math
 import random
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import getitem
@@ -385,18 +388,17 @@ def feedback_function(pairs, spec: Lfsr) -> FeedbackFunction:
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def verify_de_bruijn(seq, n: int) -> bool:
     """True iff the cyclic sequence contains every n-bit window exactly once.
 
-    `seq` is a string of 0s and 1s or an iterable of 0/1 values.  All
-    2^n window values come from one big integer: each bit becomes a
-    digit wide enough to hold an n-bit value.  Shifting the integer
-    down by k digits and up by k bits and adding turns width-k windows
-    into width-2k ones, so the widths 1, 2, 4, ... that make up n cost
-    about log2(n) big-integer passes.
+    `seq` is a string of 0s and 1s or an iterable of 0/1 values.  The
+    2^n cyclic window values come from _windows; each marks its slot in
+    a table of 2^n bytes, and the sequence is de Bruijn iff no slot is
+    left unmarked.
     """
     if n < 1:
         raise ValueError(f"order {n} is below 1")
@@ -416,29 +418,58 @@ def verify_de_bruijn(seq, n: int) -> bool:
             raise ValueError("sequence must be binary") from None
         if data.translate(None, b"\0\1"):
             raise ValueError("sequence must be binary")
-    size = 1 << n
     data += data[: n - 1]
-    width = next(w for w in _DIGIT_FORMATS if n <= 8 * w)
-    digit_bits = 8 * width
-    digits = bytearray(width * len(data))
-    digits[::width] = data
-    w = int.from_bytes(digits, "little")  # windows of width k = 1
-    windows = done = 0  # windows of width `done`, the set bits of n below k
+    values = _windows(data, n)
+    # The mark is the permutation test: there are exactly 2^n values, all
+    # below 2^n, so every slot is marked iff they are distinct.  It holds
+    # one byte per value where a set would hold an int object.
+    mark = bytearray(1 << n)
+    for v in values:
+        mark[v] = 1
+    return 0 not in mark
+
+
+def _windows(data: bytes, n: int) -> array:
+    """The values of the len(data) - n + 1 windows of a non-cyclic bit string.
+
+    `data` holds one bit per byte, len(data) >= n, and the window at i
+    has data[i + j] as its bit j.  Byte b of that value is itself a
+    window: 8 bits at i + 8b, or the n % 8 bits left for the top byte.
+    Both widths come from one integer with one byte per bit: shifting
+    it down by k bytes and up by k bits and adding turns width-k
+    windows into width-2k ones, so width 8 takes three passes and the
+    set bits of n % 8 are summed on the way.  Strided slice assignment
+    then interleaves the bytes into slots of 1, 2, 4 or 8 bytes, handed
+    back as an array: iterating one is faster than a memoryview cast.
+    """
+    length = len(data)
+    count = length - n + 1
+    full, rest = divmod(n, 8)
+    w = int.from_bytes(data, "little")  # windows of width k = 1
+    top = done = 0  # windows of width `done`, the set bits of rest below k
     k = 1
     while True:
-        if n & k:
-            windows += (w >> (digit_bits * done)) << done
+        if rest & k:
+            top += (w >> (8 * done)) << done
             done += k
-        if k << 1 > n:
+        if k << 1 > (8 if full else rest):
             break
-        w += (w >> (digit_bits * k)) << k
+        w += (w >> (8 * k)) << k
         k <<= 1
-    # read back in native order: a byte swap maps distinct values to distinct values
-    values = memoryview(windows.to_bytes(len(digits), "little")).cast(_DIGIT_FORMATS[width])
-    # The set is the permutation test: no stdlib call scatters 2^n values
-    # at C speed.  At n=16 it took 3.3 ms, against 5.0 ms for
-    # dict.fromkeys and 20 ms for comparing sorted() with range().
-    return len(set(values[:size])) == size
+    rows = [w.to_bytes(length, "little")] * full
+    if rest:
+        rows.append(top.to_bytes(length, "little"))
+    # each buffer is dropped once used, so the peak is the slots and
+    # their array, not every buffer at once
+    del w, top
+    width = next(s for s in _SLOT_FORMATS if len(rows) <= s)
+    slots = bytearray(width * count)
+    for b in range(len(rows)):
+        # byte b is the b-th least significant of its slot in native order
+        slot = width - 1 - b if _BIG_ENDIAN else b
+        slots[slot::width] = memoryview(rows[b])[8 * b : 8 * b + count]
+    del rows
+    return array(_SLOT_FORMATS[width], slots)
 
 
 def _check_length(length: int, n: int) -> None:

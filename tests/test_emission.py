@@ -1,19 +1,24 @@
-"""The spliced join and the big-integer window check against per-bit references.
+"""The spliced join and the byte-wide window check against per-bit references.
 
 `reference_join` is the per-bit register run that join_cycles replaced:
 it steps all 2^n states, complementing the linear feedback on windows
 whose tail is a pair suffix.  join_cycles cuts the same output from the
 register's cycle strings, so the two must agree bit for bit on every
 pair set and start state, spanning or not.  `reference_windows` checks
-the de Bruijn property by slicing out every cyclic window as a string.
+the de Bruijn property by slicing out every cyclic window as a string,
+and the byte-wide window values are compared with a per-window string
+encoding at every order up to 40.
 """
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclejoin import joining
 from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree, verify_de_bruijn
 from cyclejoin.lfsr import Lfsr, state_to_str
 from cyclejoin.pipeline import FactoredLfsr
@@ -174,6 +179,56 @@ def test_verify_matches_window_oracle(n):
         expected = reference_windows(bits, n)
         assert verify_de_bruijn(bits, n) is expected
         assert verify_de_bruijn([int(c) for c in bits], n) is expected
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_windows_match_per_window_encoding(n, monkeypatch):
+    # 1- to 5-byte values in 1-, 2-, 4- and 8-byte slots, on strings far
+    # shorter than 2^n; lines of order 17-40 are too long for the oracle above
+    rng = random.Random(n)
+    lengths = [m for m in (n, n + 1, n + 3, n + 10, 2 * n + 5, 3 * n + 7) if m & (m - 1)]
+    cases = [("".join(rng.choice("01") for _ in range(m)), None) for m in lengths]
+    for m in (2 * n + 5, 3 * n + 6):  # never powers of two
+        # copy the window at i over the one at j >= i + n
+        bits = "".join(rng.choice("01") for _ in range(m))
+        i = rng.randrange(m - 2 * n + 1)
+        j = rng.randrange(i + n, m - n + 1)
+        cases.append((bits[:j] + bits[i : i + n] + bits[j + n :], (i, j)))
+    for bits, repeat in cases:
+        expected = [int(bits[i : i + n][::-1], 2) for i in range(len(bits) - n + 1)]
+        if repeat:
+            assert expected[repeat[0]] == expected[repeat[1]]
+        data = bits.encode().translate(joining._BIT_VALUES)
+        assert joining._windows(data, n).tolist() == expected
+        # the other byte order puts each byte at the other end of its slot
+        monkeypatch.setattr(joining, "_BIG_ENDIAN", sys.byteorder == "little")
+        swapped = joining._windows(data, n)
+        monkeypatch.undo()
+        swapped.byteswap()
+        assert swapped.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_accepts_exactly_the_de_bruijn_strings(n):
+    # 2^(2^(n-1) - n) de Bruijn cycles of order n, each with 2^n distinct
+    # rotations: 2, 4, 16 and 256 of the 2^(2^n) strings of length 2^n
+    strings = [format(v, f"0{1 << n}b") for v in range(1 << (1 << n))]
+    assert sum(verify_de_bruijn(bits, n) for bits in strings) == 1 << (1 << (n - 1))
+    assert sum(verify_de_bruijn(list(map(int, bits)), n) for bits in strings) == 1 << (1 << (n - 1))
+
+
+def test_verify_peak_memory_at_order_20():
+    # a set of the 2^20 window values peaks at 82 MB
+    inst = FactoredLfsr.from_strings("1001001,100000000101011")
+    pairs = tuple(bundle[0] for bundle in inst.greedy_tree().edges.values())
+    bits = join_cycles(pairs, inst.lfsr).bits
+    tracemalloc.start()
+    try:
+        assert verify_de_bruijn(bits, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24_000_000
 
 
 def test_verify_rejects_bad_input():
