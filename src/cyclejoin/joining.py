@@ -5,15 +5,15 @@ feedback at the tree's conjugate pairs merges every cycle into one big
 cycle of length 2^n: a de Bruijn sequence.  Distinct trees give
 distinct sequences, so streaming trees streams sequences.
 
-Trees of the condensed graph are enumerated by a recursive frontier
-search: visit vertices in ascending order, and for the unvisited
-neighbors of the current vertex branch over every subset (ascending
-bitmask, empty set first).  Each branch attaches the chosen subset to
-the tree, so leaves at psi - 1 edges are exactly the spanning trees,
-each produced once.  A multigraph tree picks one pair, stored as its
-state v, from each bundle of a condensed tree.  The enumeration is lazy
-because the counts grow far beyond anything enumerable; callers take
-what they need.
+Trees of the condensed graph are enumerated by a frontier search on an
+explicit stack, so a graph of any size nests no Python calls: visit
+vertices in ascending order, and for the unvisited neighbors of the
+current vertex branch over every subset (ascending bitmask, empty set
+first).  Each branch attaches the chosen subset to the tree, so leaves
+at psi - 1 edges are exactly the spanning trees, each produced once.
+A multigraph tree picks one pair, stored as its state v, from each
+bundle of a condensed tree.  The enumeration is lazy because the counts
+grow far beyond anything enumerable; callers take what they need.
 
 Uniform random G-trees come from Wilson's loop-erased walk on the
 condensed graph, each edge weighted by its multiplicity and the walk
@@ -24,24 +24,24 @@ among them, so the result is uniform over sequences of the class.
 
 A joined sequence is the register's cycles spliced at the tree's
 conjugate pairs, so it is emitted as O(psi) slices of the cycle
-strings that Lfsr.cycle_table builds once per register, not by
-stepping the joined register bit by bit.  The de Bruijn check builds
-the 2^n cyclic window values a byte at a time, out of one big integer
-with one byte per bit, and marks each in a table of 2^n bytes.
+strings in the register's Lfsr.cycle_table, not by stepping the joined
+register bit by bit.  The table builds each cycle the first time one of
+its states is located and keeps it for later joins.  The de Bruijn
+check builds the 2^n cyclic window values a byte at a time (lfsr's
+_windows), out of one big integer with one byte per bit, and marks
+each in a table of 2^n bytes.
 """
 
 import itertools
 import math
 import random
-import sys
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import getitem
 
 from .adjacency import AdjacencyGraph, PairSearch, best_count
 from .cycles import CycleSet
-from .lfsr import Lfsr, state_to_str
+from .lfsr import _BIT_VALUES, Lfsr, _windows, state_to_str
 
 __all__ = [
     "spanning_trees",
@@ -60,81 +60,119 @@ __all__ = [
 def spanning_trees(graph: AdjacencyGraph):
     """Yield spanning trees of the condensed graph as edge tuples.
 
-    Complete and duplicate-free, by recursive frontier search: visit
-    the lowest-index unchecked listed vertex, branch over subsets of
-    its unlisted neighbors (ascending bitmask, empty set first), and
-    emit whenever psi - 1 edges accumulate.  Two prunes cut subtrees
-    that provably contain no spanning tree, without touching the yield
-    order: a neighbor whose last unchecked neighbor is the current
-    vertex must be taken now, and every unlisted vertex must stay
-    reachable from the unchecked frontier.
+    Complete and duplicate-free, by a frontier search on an explicit
+    stack: visit the lowest-index unchecked listed vertex, branch over
+    subsets of its unlisted neighbors (ascending bitmask, empty set
+    first), and emit whenever psi - 1 edges accumulate.  Two prunes cut
+    subtrees that provably contain no spanning tree, without touching the
+    yield order: a neighbor whose last unchecked neighbor is the current
+    vertex must be taken now, and every component of the unlisted
+    vertices must keep a neighbor that is listed and unchecked.  The
+    second is kept incrementally.  Each vertex counts its listed
+    unchecked neighbors.  A pick can only strand the components of the
+    current vertex's unpicked neighbors, so only those are searched, each
+    up to its first vertex with a nonzero count.
     """
-    psi = graph.num_vertices
     if not graph.is_connected():
         raise ValueError("graph is disconnected: no spanning tree exists")
-    adj = graph.adjacency_lists()
+    return _frontier_search(graph.adjacency_lists())
+
+
+def _frontier_search(adj):
+    psi = len(adj)
+    if psi == 1:
+        yield ()
+        return
     in_list = bytearray(psi)
     in_list[0] = 1
     checked = bytearray(psi)
-    unchecked_nbrs = [len(adj[u]) for u in range(psi)]
+    unchecked_nbrs = [len(nbrs) for nbrs in adj]
+    live = [0] * psi  # listed unchecked neighbors, read for unlisted vertices
+    for u in adj[0]:
+        live[u] += 1
+    seen = [0] * psi  # the number of the last search that reached a vertex
+    searches = 0
     vlist = [0]
     elist = []
-
-    def frontier_reaches_all() -> bool:
-        seen = bytearray(psi)
-        stack = []
-        for v in vlist:
-            if not checked[v]:
-                for u in adj[v]:
-                    if not in_list[u] and not seen[u]:
-                        seen[u] = 1
-                        stack.append(u)
-        while stack:
-            for u in adj[stack.pop()]:
-                if not in_list[u] and not seen[u]:
-                    seen[u] = 1
-                    stack.append(u)
-        return all(in_list[u] or seen[u] for u in range(psi))
-
-    def rec():
+    # one frame per checked vertex: [vertex, its unlisted neighbors,
+    # forced bits, free bits, next mask index, the neighbors picked now]
+    frames = []
+    descend = True
+    while True:
+        if descend:
+            vbar = min(v for v in vlist if not checked[v])
+            checked[vbar] = 1
+            for u in adj[vbar]:
+                unchecked_nbrs[u] -= 1
+                live[u] -= 1
+            frontier = [u for u in adj[vbar] if not in_list[u]]
+            forced = 0
+            free_bits = []
+            for b, u in enumerate(frontier):
+                if unchecked_nbrs[u] == 0:
+                    forced |= 1 << b  # last chance to attach u; masks without it are dead
+                else:
+                    free_bits.append(b)
+            frame = [vbar, frontier, forced, free_bits, 0, ()]
+            frames.append(frame)
+        else:
+            frame = frames[-1]
+        vbar, frontier, forced, free_bits, k, picked = frame
+        for u in picked:
+            in_list[u] = 0
+            for w in adj[u]:
+                live[w] -= 1
+        if picked:
+            del vlist[-len(picked) :], elist[-len(picked) :]
+        if k >> len(free_bits):
+            frames.pop()
+            for u in adj[vbar]:
+                unchecked_nbrs[u] += 1
+                live[u] += 1
+            checked[vbar] = 0
+            if not frames:
+                return
+            descend = False
+            continue
+        mask = forced
+        for pos, b in enumerate(free_bits):
+            mask |= (k >> pos & 1) << b
+        picked = [u for b, u in enumerate(frontier) if mask >> b & 1]
+        frame[4], frame[5] = k + 1, picked
+        for u in picked:
+            in_list[u] = 1
+            vlist.append(u)
+            elist.append((vbar, u))
+            for w in adj[u]:
+                live[w] += 1
         if len(elist) == psi - 1:
             yield tuple(elist)
-            return
-        if not frontier_reaches_all():
-            return
-        vbar = min((v for v in vlist if not checked[v]), default=None)
-        if vbar is None:
-            return
-        checked[vbar] = 1
-        for u in adj[vbar]:
-            unchecked_nbrs[u] -= 1
-        frontier = [u for u in adj[vbar] if not in_list[u]]
-        forced = 0
-        free_bits = []
+            descend = False
+            continue
+        # unlisted vertices remain: prune the child if no listed vertex is
+        # unchecked, or if a component of unlisted ones touches none
+        descend = len(vlist) > len(frames)
+        before = searches
         for b, u in enumerate(frontier):
-            if unchecked_nbrs[u] == 0:
-                forced |= 1 << b  # last chance to attach u; masks without it are dead
-            else:
-                free_bits.append(b)
-        for k in range(1 << len(free_bits)):
-            mask = forced
-            for pos, b in enumerate(free_bits):
-                mask |= (k >> pos & 1) << b
-            picked = [u for b, u in enumerate(frontier) if mask >> b & 1]
-            for u in picked:
-                in_list[u] = 1
-                vlist.append(u)
-                elist.append((vbar, u))
-            yield from rec()
-            for u in picked:
-                in_list[u] = 0
-                vlist.pop()
-                elist.pop()
-        for u in adj[vbar]:
-            unchecked_nbrs[u] += 1
-        checked[vbar] = 0
-
-    return rec()
+            if not descend:
+                break
+            if mask >> b & 1 or seen[u] > before:
+                continue  # picked, or in a component already found live
+            searches += 1
+            seen[u] = searches
+            if live[u]:
+                continue
+            descend = False
+            stack = [u]
+            while stack and not descend:
+                for w in adj[stack.pop()]:
+                    if in_list[w] or seen[w] == searches:
+                        continue
+                    if live[w] or seen[w] > before:
+                        descend = True
+                        break
+                    seen[w] = searches
+                    stack.append(w)
 
 
 def _edge_key(e):
@@ -387,11 +425,6 @@ def feedback_function(pairs, spec: Lfsr) -> FeedbackFunction:
     return FeedbackFunction(spec.poly, spec.n, suffixes)
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
 def verify_de_bruijn(seq, n: int) -> bool:
     """True iff the cyclic sequence contains every n-bit window exactly once.
 
@@ -427,49 +460,6 @@ def verify_de_bruijn(seq, n: int) -> bool:
     for v in values:
         mark[v] = 1
     return 0 not in mark
-
-
-def _windows(data: bytes, n: int) -> array:
-    """The values of the len(data) - n + 1 windows of a non-cyclic bit string.
-
-    `data` holds one bit per byte, len(data) >= n, and the window at i
-    has data[i + j] as its bit j.  Byte b of that value is itself a
-    window: 8 bits at i + 8b, or the n % 8 bits left for the top byte.
-    Both widths come from one integer with one byte per bit: shifting
-    it down by k bytes and up by k bits and adding turns width-k
-    windows into width-2k ones, so width 8 takes three passes and the
-    set bits of n % 8 are summed on the way.  Strided slice assignment
-    then interleaves the bytes into slots of 1, 2, 4 or 8 bytes, handed
-    back as an array: iterating one is faster than a memoryview cast.
-    """
-    length = len(data)
-    count = length - n + 1
-    full, rest = divmod(n, 8)
-    w = int.from_bytes(data, "little")  # windows of width k = 1
-    top = done = 0  # windows of width `done`, the set bits of rest below k
-    k = 1
-    while True:
-        if rest & k:
-            top += (w >> (8 * done)) << done
-            done += k
-        if k << 1 > (8 if full else rest):
-            break
-        w += (w >> (8 * k)) << k
-        k <<= 1
-    rows = [w.to_bytes(length, "little")] * full
-    if rest:
-        rows.append(top.to_bytes(length, "little"))
-    # each buffer is dropped once used, so the peak is the slots and
-    # their array, not every buffer at once
-    del w, top
-    width = next(s for s in _SLOT_FORMATS if len(rows) <= s)
-    slots = bytearray(width * count)
-    for b in range(len(rows)):
-        # byte b is the b-th least significant of its slot in native order
-        slot = width - 1 - b if _BIG_ENDIAN else b
-        slots[slot::width] = memoryview(rows[b])[8 * b : 8 * b + count]
-    del rows
-    return array(_SLOT_FORMATS[width], slots)
 
 
 def _check_length(length: int, n: int) -> None:

@@ -94,6 +94,15 @@ def test_generate_reaches_a_large_tree_index_in_one_pass(capsys):
     assert all(verify_de_bruijn(line, 7) for line in lines)
 
 
+def test_generate_at_psi_1264_verifies(capsys):
+    # 1264 cycles: the first tree lies about 1264 search levels down
+    code, out, _ = run(capsys, "generate", "--factors", "11,111,1111111111111", "--limit", "2")
+    assert code == 0
+    lines = out.split()
+    assert len(lines) == 2 and lines[0] != lines[1]
+    assert all(verify_de_bruijn(line, 15) for line in lines)
+
+
 def test_generate_initial_state_and_hex(capsys):
     _, out, _ = run(
         capsys,

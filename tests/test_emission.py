@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclejoin import joining
+from cyclejoin import lfsr
 from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree, verify_de_bruijn
 from cyclejoin.lfsr import Lfsr, state_to_str
 from cyclejoin.pipeline import FactoredLfsr
@@ -108,6 +108,7 @@ def test_join_on_short_cycles_and_the_zero_cycle():
     # x^6 + 1 rotates the state: cycles of length 1, 2, 3 and 6, and the
     # zero state is a cycle of its own
     reg = Lfsr(0b1000001)
+    locate_every_state(reg, random.Random(6))
     assert sorted(set(map(len, reg.cycle_table().cycles))) == [1, 2, 3, 6]
     for ws in ((), (0,), (0b10101,), (0, 0b11111), (0b01010, 0b10101, 0b00100)):
         pairs = pairs_for(ws)
@@ -127,28 +128,67 @@ def test_join_matches_reference_on_random_registers(data):
     assert join_cycles(pairs, reg, init).bits == reference_join(pairs, reg, init)
 
 
+def locate_every_state(reg: Lfsr, rng: random.Random) -> dict[int, tuple[int, int]]:
+    """Locate the register's states in shuffled order, so cycles are found in that order."""
+    states = list(range(1 << reg.n))
+    rng.shuffle(states)
+    table = reg.cycle_table()
+    return {s: table.locate(s) for s in states}
+
+
+def check_located(reg: Lfsr, located) -> None:
+    """Each state is the window at its place, each cycle closes, and the cycles tile 2^n."""
+    n = reg.n
+    table = reg.cycle_table()
+    assert sum(map(len, table.cycles)) == 1 << n
+    for s, (c, k) in located.items():
+        cyc = table.cycles[c]
+        ext = cyc * (n // len(cyc) + 2)
+        assert ext[k : k + n] == state_to_str(s, n)
+        after = (k + 1) % len(cyc)
+        assert state_to_str(step(reg, s), n) == ext[after : after + n]
+        assert table.locate(s) == (c, k)
+
+
 def test_cycle_table_locates_every_state():
     for poly in (0b11, 0b1011011, 0b1000001, 0b110100101):
         reg = Lfsr(poly)
         table = reg.cycle_table()
         assert reg.cycle_table() is table
-        n = reg.n
-        assert sum(map(len, table.cycles)) == 1 << n
-        least = []
-        for c, cyc in enumerate(table.cycles):
-            ext = cyc * (n // len(cyc) + 2)
-            states = [int(ext[k : k + n][::-1], 2) for k in range(len(cyc))]
-            assert len(set(states)) == len(cyc)
-            assert step(reg, states[-1]) == states[0]
-            least.append(states[0])
-            assert states[0] == min(states)
-            for k, s in enumerate(states):
-                assert state_to_str(s, n) == ext[k : k + n]
-                assert table.locate(s) == (c, k)
-        assert least == sorted(least)
-        for bad in (-1, 1 << n):
+        check_located(reg, locate_every_state(reg, random.Random(poly)))
+        for bad in (-1, 1 << reg.n):
             with pytest.raises(ValueError):
                 table.locate(bad)
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_extended_cycles_match_stepping_and_the_reference_join(cap, data):
+    # with a cap of 1 or 3, every cycle that outlasts locate's walk (at most
+    # 4 states for n <= 10) is extended at C speed
+    n = data.draw(st.integers(1, 10))
+    poly = 1 << n | data.draw(st.integers(0, (1 << n) - 1)) | 1
+    ws = data.draw(st.sets(st.integers(0, (1 << (n - 1)) - 1), max_size=8))
+    init = data.draw(st.integers(0, (1 << n) - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lfsr, "_STEP_CAP", cap)
+        reg = Lfsr(poly)
+        pairs = pairs_for(sorted(ws))
+        assert join_cycles(pairs, reg, init).bits == reference_join(pairs, reg, init)
+        check_located(reg, locate_every_state(reg, random.Random(poly)))
+
+
+@pytest.mark.parametrize("factors", ["1000001010011", "1001001,10000001111"])
+def test_long_cycles_locate_every_state(factors):
+    # one cycle of length 4095 (a primitive degree-12 register), and the
+    # n=16 stream instance, whose longest cycles run past the step cap
+    reg = FactoredLfsr.from_strings(factors).lfsr
+    check_located(reg, locate_every_state(reg, random.Random(factors)))
+    lengths = list(map(len, reg.cycle_table().cycles))
+    assert max(lengths) > lfsr._STEP_CAP
+    if reg.n == 12:
+        assert sorted(lengths) == [1, 4095]
 
 
 def test_join_rejects_start_state_wider_than_register():
@@ -198,11 +238,11 @@ def test_windows_match_per_window_encoding(n, monkeypatch):
         expected = [int(bits[i : i + n][::-1], 2) for i in range(len(bits) - n + 1)]
         if repeat:
             assert expected[repeat[0]] == expected[repeat[1]]
-        data = bits.encode().translate(joining._BIT_VALUES)
-        assert joining._windows(data, n).tolist() == expected
+        data = bits.encode().translate(lfsr._BIT_VALUES)
+        assert lfsr._windows(data, n).tolist() == expected
         # the other byte order puts each byte at the other end of its slot
-        monkeypatch.setattr(joining, "_BIG_ENDIAN", sys.byteorder == "little")
-        swapped = joining._windows(data, n)
+        monkeypatch.setattr(lfsr, "_BIG_ENDIAN", sys.byteorder == "little")
+        swapped = lfsr._windows(data, n)
         monkeypatch.undo()
         swapped.byteswap()
         assert swapped.tolist() == expected

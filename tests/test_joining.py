@@ -60,6 +60,20 @@ def test_spanning_trees_disconnected():
         list(spanning_trees(g))
 
 
+def test_spanning_trees_on_a_3000_vertex_path():
+    # the tree search keeps its own stack: a path far deeper than the
+    # interpreter's recursion limit has its one condensed tree, and the
+    # doubled bundles at both ends expand it to four G-trees
+    psi = 3000
+    g = _toy_graph({(i, i + 1): 2 if i in (0, psi - 2) else 1 for i in range(psi - 1)})
+    path = tuple((i, i + 1) for i in range(psi - 1))
+    assert list(spanning_trees(g)) == [path]
+    first, last = g.edges[path[0]], g.edges[path[-1]]
+    middle = tuple(g.edges[e][0] for e in path[1:-1])
+    expected = [(a,) + middle + (b,) for a in first for b in last]
+    assert list(g_trees(g)) == expected
+
+
 def test_spanning_trees_row3_count_and_determinism():
     g = FactoredLfsr.from_strings(ROW3).graph()
     trees = list(spanning_trees(g))
