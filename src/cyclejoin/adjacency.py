@@ -8,9 +8,10 @@ cycles as vertices with one edge per shared pair.  Joining along a
 spanning tree of G produces a de Bruijn sequence, so counting the
 sequences constructible from the register is counting spanning trees
 (the BEST theorem: any cofactor of the degree-minus-adjacency matrix).
-The cofactor is an exact multimodular determinant: symmetric elimination
-modulo word-sized primes, each matrix row packed into one integer, and
-CRT up to a bound on the count.  Before the primes, a maximal
+The cofactor is an exact multimodular determinant of the minor, read
+sparsely off the graph's neighbour table: one symmetric elimination per
+word-sized prime, each row packed into one integer, and CRT up to a
+bound on the count.  Before the primes, a maximal
 independent set of the minor (a diagonal block) is eliminated once,
 exactly over the integers: its Schur complement, scaled by the lcm of
 that diagonal, is an integer matrix, and each prime eliminates only it.
@@ -373,7 +374,8 @@ class AdjacencyGraph:
     ``multiplicities`` maps the same keys, in the same order, to the
     bundle sizes; built graphs know them without finding a pair.  The
     condensed view keeps one edge per adjacent pair of vertices
-    (multiplicity folded to 1).
+    (multiplicity folded to 1).  The connectivity check, the tree search,
+    the sampler and the cofactor read one table, ``neighbours``.
     """
 
     num_vertices: int
@@ -391,29 +393,26 @@ class AdjacencyGraph:
         return self.multiplicities.get((i, j), 0)
 
     @cached_property
-    def walk_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per vertex, in edge order: neighbors and cumulative multiplicities.
+    def neighbours(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per vertex, its neighbours ascending and the multiplicity of each edge.
 
-        The condensed graph weighted by multiplicity, as the sampler's
-        walk reads it; built once, without finding a pair.
+        Built once, from the sorted keys of ``multiplicities``, so the
+        order in which the keys were inserted does not leak in.
         """
         nbrs = [[] for _ in range(self.num_vertices)]
-        weights = [[] for _ in range(self.num_vertices)]
-        for (a, b), mult in self.multiplicities.items():
+        mults = [[] for _ in range(self.num_vertices)]
+        for (a, b), mult in sorted(self.multiplicities.items()):
             nbrs[a].append(b)
             nbrs[b].append(a)
-            weights[a].append(mult)
-            weights[b].append(mult)
-        return nbrs, [list(accumulate(ws)) for ws in weights]
+            mults[a].append(mult)
+            mults[b].append(mult)
+        return nbrs, mults
 
-    def adjacency_lists(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.num_vertices)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for l in adj:
-            l.sort()
-        return adj
+    @cached_property
+    def walk_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per vertex, neighbours ascending and cumulative multiplicities, for the sampler."""
+        nbrs, mults = self.neighbours
+        return nbrs, [list(accumulate(ms)) for ms in mults]
 
     def is_connected(self) -> bool:
         """Whether every vertex is reachable from vertex 0; searched once per graph."""
@@ -423,27 +422,15 @@ class AdjacencyGraph:
     def _connected(self) -> bool:
         if self.num_vertices == 0:
             return True
-        adj = self.adjacency_lists()
+        nbrs = self.neighbours[0]
         seen = {0}
         stack = [0]
         while stack:
-            for j in adj[stack.pop()]:
+            for j in nbrs[stack.pop()]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == self.num_vertices
-
-    def laplacian(self, condensed: bool = False) -> list[list[int]]:
-        """Degree-minus-adjacency matrix of G, or of the condensed graph."""
-        psi = self.num_vertices
-        m = [[0] * psi for _ in range(psi)]
-        for (a, b), mult in self.multiplicities.items():
-            w = 1 if condensed else mult
-            m[a][b] -= w
-            m[b][a] -= w
-            m[a][a] += w
-            m[b][b] += w
-        return m
 
 
 def build_graph(cycles: CycleSet, tables, factors, basis, rep) -> AdjacencyGraph:
@@ -476,23 +463,26 @@ def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
     spanning-tree count of the condensed graph.  A disconnected graph
     has none.
 
-    For a connected graph the minor is symmetric positive definite, so
-    every leading principal minor is positive and elimination needs no
-    row swaps.  Orienting each spanning tree toward vertex 0 gives every
-    other vertex one parent edge among its incident edges, so the count
-    is at most the product of the minor's diagonal (the weighted
-    degrees; for the condensed graph, the distinct-neighbour counts).
-    The determinant is taken modulo enough word-sized primes for their
-    product to exceed that bound and recovered by CRT.  A maximal
-    independent set of the minor is eliminated exactly before the
-    primes, so each prime eliminates only its scaled Schur complement;
-    the residues are still those of the minor's determinant, so the
-    bound and the count are unchanged.
+    The minor is read off the neighbour table, never formed densely:
+    vertex 0 is dropped, and each other vertex gives a diagonal entry,
+    its weighted degree (for the condensed graph, its neighbour count),
+    and the off-diagonal nonzeros of its row, ascending.  For a
+    connected graph the minor is symmetric positive definite, and
+    orienting each spanning tree toward vertex 0 gives every other
+    vertex one parent edge among its incident edges, so the count is at
+    most the product of that diagonal.  ``_spd_det`` takes it from
+    there.
     """
     if not graph.is_connected():
         return 0
-    m = graph.laplacian(condensed)
-    return _spd_det([row[1:] for row in m[1:]])
+    nbrs, mults = graph.neighbours
+    diag, rows = [], []
+    for ns, ms in zip(nbrs[1:], mults[1:]):
+        if condensed:
+            ms = [1] * len(ns)
+        diag.append(sum(ms))
+        rows.append([(u - 1, -m) for u, m in zip(ns, ms) if u])
+    return _spd_det(diag, rows)
 
 
 # Packed elimination: row i of the upper triangle is one int holding
@@ -585,11 +575,12 @@ def _reduced_row(entries, width: int, p: int) -> int:
     return _pack(slots)
 
 
-def _spd_det_mod(rows: list[int], p: int) -> int | None:
-    """det mod p by packed symmetric elimination, or None if a pivot vanishes mod p.
+def _spd_det_mod(rows: list[int], p: int) -> tuple[int, int]:
+    """Packed symmetric elimination mod p: (pivots taken, their product mod p).
 
     rows[i] holds the upper triangle's row i with every slot a residue
-    below 2 p^2; the list is consumed.
+    below 2 p^2; the list is consumed.  Stops at the first pivot k that
+    vanishes mod p, a prime dividing the (k + 1)-th leading minor.
     """
     m = len(rows)
     det = 1
@@ -598,7 +589,7 @@ def _spd_det_mod(rows: list[int], p: int) -> int | None:
         rows[k] = None
         akk = slots[0]
         if not akk:
-            return None  # p divides a leading minor
+            return k, det
         det = det * akk % p
         neg_inv = p - pow(akk, -1, p)
         piv = _pack(slots)
@@ -609,67 +600,42 @@ def _spd_det_mod(rows: list[int], p: int) -> int | None:
             c = slots[d]
             if c:
                 rows[k + d] += (c * neg_inv % p) * (piv >> (_SLOT_BITS * d))
-    return det
+    return m, det
 
 
-def _pivoted_det_mod(upper, m: int, p: int) -> int:
-    """det mod p by dense elimination with row swaps, from the sparse upper triangle.
-
-    The fallback for a prime that divides a leading minor, where the
-    packed elimination meets a zero pivot; a singular matrix gives 0.
-    """
-    a = [[0] * m for _ in range(m)]
-    for i, entries in enumerate(upper):
-        for d, v in entries:
-            a[i][i + d] = a[i + d][i] = v % p
-    det = 1
-    for k in range(m):
-        piv = next((i for i in range(k, m) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        row = a[k]
-        det = det * row[k] % p
-        inv = pow(row[k], -1, p)
-        for i in range(k + 1, m):
-            f = a[i][k] * inv % p
-            if f:
-                ri = a[i]
-                for j in range(k + 1, m):
-                    ri[j] = (ri[j] - f * row[j]) % p
-    return det
-
-
-def _independent_schur(a: list[list[int]], diag: list[int]) -> tuple[int, int, list]:
+def _independent_schur(diag: list[int], rows: list) -> tuple[int, int, list]:
     """Eliminate a maximal independent set exactly: (lam, its diagonal's product, lam S).
 
-    I is taken greedily in index order, so A_II is diagonal with
-    positive entries d_k.  The Schur complement of A_II is
+    A comes as in ``_spd_det``.  I is taken greedily in index order, so
+    A_II is diagonal with positive entries d_k and every neighbour of k
+    in I is in the rest R.  The Schur complement of A_II is
     S = A_RR - sum_k b_k b_k^T / d_k over k in I, with b_k = A_Rk, and
     det A = prod_k d_k * det S.  Scaled by lam = lcm(d_k) it is an
     integer matrix, returned as its sparse upper triangle, (column - row,
     entry) per nonzero; it is positive (semi)definite whenever A is.
     """
-    m = len(a)
+    m = len(diag)
     indep, covered = [], [False] * m
-    for i, row in enumerate(a):
+    for i in range(m):
         if not covered[i]:
             indep.append(i)
-            for j, v in enumerate(row):
-                if v:
-                    covered[j] = True
-    taken = set(indep)
-    rest = [i for i in range(m) if i not in taken]
-    at = {x: n for n, x in enumerate(rest)}
+            for j, _ in rows[i]:
+                covered[j] = True
+    at = {x: n for n, x in enumerate(i for i in range(m) if covered[i])}
     lam = lcm(*(diag[k] for k in indep))
-    s = [[lam * a[x][y] for y in rest] for x in rest]
+    s = []
+    for x, n in at.items():
+        sx = [0] * len(at)
+        sx[n] = lam * diag[x]
+        for y, v in rows[x]:
+            if y in at:
+                sx[at[y]] = lam * v
+        s.append(sx)
     for k in indep:
         w = lam // diag[k]
-        # every other neighbour of k is in R; at[] keeps them in order,
-        # so each update lands in the upper triangle
-        col = [(at[x], v) for x, v in enumerate(a[k]) if v and x != k]
+        # at[] keeps k's neighbours in order, so each update lands in the
+        # upper triangle
+        col = [(at[x], v) for x, v in rows[k]]
         for n, (x, u) in enumerate(col):
             sx, wu = s[x], w * u
             for y, v in col[n:]:
@@ -678,31 +644,38 @@ def _independent_schur(a: list[list[int]], diag: list[int]) -> tuple[int, int, l
     return lam, math.prod(diag[k] for k in indep), upper
 
 
-def _spd_det(a: list[list[int]]) -> int:
+def _spd_det(diag: list[int], rows: list) -> int:
     """Exact determinant of a symmetric positive semidefinite integer matrix.
 
-    Hadamard's inequality bounds it by the product of the diagonal;
-    residues modulo primes whose product exceeds that bound are combined
-    by CRT into the unique value below that product.  A zero on the
-    diagonal of a semidefinite matrix lies on a zero row, so it gives 0
-    at once.
+    The matrix comes as its diagonal and, per row, its off-diagonal
+    nonzeros as ascending (column, entry) pairs.  Hadamard's inequality
+    bounds the determinant by the product of the diagonal; residues
+    modulo primes whose product exceeds that bound are combined by CRT
+    into the unique value below that product.  A zero on the diagonal of
+    a semidefinite matrix lies on a zero row, so it gives 0 at once.
 
     A maximal independent set I is eliminated once, exactly over the
     integers (``_independent_schur``), so each prime eliminates only the
     rest R: det A = prod_I d_k * det(lam S) * lam^-|R| modulo any prime
     not dividing lam, and such primes are skipped.  The residues are
     still those of det A, so the bound and the count are unchanged.
-    A prime dividing a leading minor of lam S, and every prime when the
-    matrix is singular, takes the pivoted elimination instead, so the
-    loop always ends.
+
+    A prime that meets a vanishing pivot k is skipped too, and multiplied
+    into vanished[k].  Each prime recorded at k divides the (k + 1)-th
+    leading minor of lam S, which is at most the product of that block's
+    diagonal (Hadamard), so vanished[k] passes that product only if the
+    minor is 0; a semidefinite matrix with a singular principal block is
+    singular (x^T A x = 0 forces A x = 0), so then det A = 0.  A singular
+    matrix meets a vanishing pivot at every prime, so the loop ends.
     """
-    m = len(a)
-    diag = [a[i][i] for i in range(m)]
     bound = math.prod(diag)
     if not bound:
         return 0
-    lam, dprod, upper = _independent_schur(a, diag)
+    lam, dprod, upper = _independent_schur(diag, rows)
     r = len(upper)
+    s_diag = [e[0][1] if e and not e[0][0] else 0 for e in upper]
+    if 0 in s_diag:
+        return 0
     # lam S's entries as signed base-2^shift digits, 2^shift below every
     # prime the digits serve: c_t = 2^(shift t) mod p recombines them, and
     # p * sum(c_t) added at each negative entry leaves every slot a
@@ -714,7 +687,7 @@ def _spd_det(a: list[list[int]]) -> int:
     ndigits = max(1, -(-top.bit_length() // shift))
     if ndigits <= 3:
         split = [_digit_rows(e, r - i, shift, ndigits) for i, e in enumerate(upper)]
-    x, modulus = 0, 1
+    x, modulus, vanished = 0, 1, {}
     primes = _slot_primes(r)
     while modulus <= bound:
         p = next(primes)
@@ -723,12 +696,15 @@ def _spd_det(a: list[list[int]]) -> int:
         if ndigits <= 3 and p >> shift:
             cs = [pow(2, shift * t, p) for t in range(ndigits)]
             pc = p * sum(cs)
-            rows = [sum(map(mul, cs, digits)) + pc * mask for digits, mask in split]
+            packed = [sum(map(mul, cs, digits)) + pc * mask for digits, mask in split]
         else:
-            rows = [_reduced_row(e, r - i, p) for i, e in enumerate(upper)]
-        det = _spd_det_mod(rows, p)
-        if det is None:
-            det = _pivoted_det_mod(upper, r, p)
+            packed = [_reduced_row(e, r - i, p) for i, e in enumerate(upper)]
+        k, det = _spd_det_mod(packed, p)
+        if k < r:
+            vanished[k] = vanished.get(k, 1) * p
+            if vanished[k] > math.prod(s_diag[: k + 1]):
+                return 0
+            continue
         det = det * dprod * pow(lam, -r, p) % p
         x += modulus * ((det - x) * pow(modulus, -1, p) % p)
         modulus *= p

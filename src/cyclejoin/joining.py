@@ -75,7 +75,7 @@ def spanning_trees(graph: AdjacencyGraph):
     """
     if not graph.is_connected():
         raise ValueError("graph is disconnected: no spanning tree exists")
-    return _frontier_search(graph.adjacency_lists())
+    return _frontier_search(graph.neighbours[0])
 
 
 def _frontier_search(adj):
@@ -251,8 +251,10 @@ def random_spanning_tree(graph: AdjacencyGraph, seed) -> tuple[int, ...]:
     uniformly inside each bundle then spreads that evenly over T's
     expansions, so every multigraph tree is equally likely.  The walk is
     rooted at the vertex of largest weighted degree (lowest index on
-    ties), which walks hit soonest.  Pairs come in vertex order, root
-    left out.  `seed` may be an int or a random.Random to draw from.
+    ties), which walks hit soonest.  A draw indexes a vertex's neighbours
+    in ascending order, whatever order the edge keys were inserted in.
+    Pairs come in vertex order, root left out.  `seed` may be an int or
+    a random.Random to draw from.
     """
     if not graph.is_connected():
         raise ValueError("graph is disconnected: no spanning tree exists")

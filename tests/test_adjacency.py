@@ -241,11 +241,13 @@ def test_conjugate_pairs_random_instances_match_brute_force():
 def test_graph_shape_n7_reference():
     inst = FactoredLfsr.from_strings(N7)
     g = inst.graph()
-    adj = g.adjacency_lists()
-    assert [sum(g.multiplicity(i, j) for j in adj[i]) for i in range(16)] == [
+    nbrs, mults = g.neighbours
+    assert [sum(g.multiplicity(i, j) for j in nbrs[i]) for i in range(16)] == [
         1, 3, 5, 5, 5, 15, 15, 15
     ] * 2
-    assert [len(adj[i]) for i in range(16)] == [1, 2, 3, 3, 3, 6, 6, 6] * 2
+    assert [sum(ms) for ms in mults] == [1, 3, 5, 5, 5, 15, 15, 15] * 2
+    assert [len(nbrs[i]) for i in range(16)] == [1, 2, 3, 3, 3, 6, 6, 6] * 2
+    assert all(ns == sorted(ns) for ns in nbrs)
     assert g.is_connected()
 
 
@@ -267,6 +269,18 @@ def test_best_count_goldens():
         g = FactoredLfsr.from_strings(facs).graph()
         assert best_count(g) == zg
         assert best_count(g, condensed=True) == zh
+
+
+def _laplacian(graph, condensed=False):
+    """Dense degree-minus-adjacency matrix, read straight from the multiplicities."""
+    m = [[0] * graph.num_vertices for _ in range(graph.num_vertices)]
+    for (a, b), mult in graph.multiplicities.items():
+        w = 1 if condensed else mult
+        m[a][b] -= w
+        m[b][a] -= w
+        m[a][a] += w
+        m[b][b] += w
+    return m
 
 
 def _det_fraction(m):
@@ -294,7 +308,7 @@ def _det_fraction(m):
 def test_cofactor_invariance_small_graphs():
     for facs in ("1011", "11,1101,11001", "1011,1101"):
         g = FactoredLfsr.from_strings(facs).graph()
-        m = g.laplacian()
+        m = _laplacian(g)
         n = len(m)
         expected = best_count(g)
         for i in range(n):

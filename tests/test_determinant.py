@@ -2,18 +2,24 @@
 
 `bareiss_det` is the dense fraction-free elimination that best_count
 used before; `_det_fraction` is plain Gaussian elimination over the
-rationals.  Neither shares code with the packed determinant, which
-must agree with both on the Laplacian minors of the golden instances,
-on drawn multigraphs (connected or not), and on weighted matrices built
-to reach the unlucky-prime fallback and entries beyond the modulus.
-The exact independent-set step before the primes gets its own edge
-cases: nothing left after it, a zero diagonal, a prime dividing the
-lcm of the eliminated diagonal, and a scaled Schur complement whose
-entries pass the modulus or whose first pivot vanishes mod p.
+rationals, and `_laplacian` builds the dense matrix they read from the
+multiplicities.  None shares code with the packed determinant, which
+reads the minor sparsely and must agree with both on the Laplacian
+minors of the golden instances, on drawn multigraphs (connected or
+not), on drawn semidefinite matrices (also with primes forced small,
+so that most primes meet a vanishing pivot and are skipped), and on
+weighted matrices built to reach an unlucky prime and entries beyond
+the modulus.  The exact independent-set step before the primes gets
+its own edge cases: nothing left after it, a zero diagonal, a prime
+dividing the lcm of the eliminated diagonal, and a scaled Schur
+complement whose entries pass the modulus or whose first pivot
+vanishes mod p.  A singular minor must end within the primes the skip
+rule allows.
 """
 
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -27,7 +33,6 @@ from cyclejoin.adjacency import (
     _independent_schur,
     _is_prime,
     _pack,
-    _pivoted_det_mod,
     _reduced_row,
     _slot_prime_limit,
     _slot_primes,
@@ -37,7 +42,7 @@ from cyclejoin.adjacency import (
     best_count,
 )
 from cyclejoin.pipeline import FactoredLfsr
-from test_adjacency import _det_fraction
+from test_adjacency import _det_fraction, _laplacian
 from test_pair_search import GOLDEN
 
 # dense-count in the benchmark: psi = 236, 1184- and 1134-bit counts
@@ -83,7 +88,17 @@ def bareiss_det(m: list[list[int]]) -> int:
 
 
 def _minor(graph, condensed):
-    return [row[1:] for row in graph.laplacian(condensed)[1:]]
+    return [row[1:] for row in _laplacian(graph, condensed)[1:]]
+
+
+def _sparse(a):
+    """A dense matrix as _spd_det reads it: the diagonal, and each row's off-diagonal nonzeros."""
+    diag = [a[i][i] for i in range(len(a))]
+    return diag, [[(j, v) for j, v in enumerate(row) if v and j != i] for i, row in enumerate(a)]
+
+
+def _det(a):
+    return _spd_det(*_sparse(a))
 
 
 def _check_against_references(graph, with_fraction=True):
@@ -150,27 +165,38 @@ def test_disconnected_graph_without_isolated_vertices():
 
 
 def test_singular_minor_without_connectivity_check():
-    # straight into the determinant: every prime meets a zero pivot and
-    # must still yield det = 0 mod p
+    # straight into the determinant: every prime meets a zero pivot, and
+    # the skip rule must still end the loop at 0
     minor = _minor(_two_triangles(), False)
     start = time.perf_counter()
-    assert _spd_det(minor) == 0
+    assert _det(minor) == 0
     assert time.perf_counter() - start < 1.0
 
 
-def _square(m):
-    return st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=m, max_size=m)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 8).flatmap(_square))
-def test_pivoted_det_mod_matches_bareiss(rows):
-    # small entries make singular matrices and zero leading minors common
-    m = len(rows)
-    a = [[rows[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]  # symmetric
-    upper = [[(j - i, v) for j, v in enumerate(row) if j >= i and v] for i, row in enumerate(a)]
-    for p in (3, 5, 7, next(_slot_primes(m))):
-        assert _pivoted_det_mod(upper, m, p) == bareiss_det(a) % p
+def test_singular_minor_ends_within_the_skip_rule(monkeypatch):
+    # two random multigraph components of 20 vertices: the minor drops a
+    # vertex of the first, so the second's block is singular and every
+    # prime meets a vanishing pivot
+    rng = random.Random(7)
+    edges = {}
+    for base in (0, 20):
+        for a in range(base, base + 20):
+            for b in range(a + 1, base + 20):
+                if rng.random() < 0.3 or b == a + 1:
+                    edges[(a, b)] = tuple(range(2 * len(edges), 2 * len(edges) + rng.randint(1, 4)))
+    graph = AdjacencyGraph(40, edges)
+    assert not graph.is_connected()
+    minor = _minor(graph, False)
+    _, _, upper = _schur(minor)
+    s_diag = [e[0][1] for e in upper]
+    assert all(e[0][0] == 0 for e in upper) and min(s_diag) > 0
+    calls = _spy(monkeypatch, "_spd_det_mod")
+    assert _det(minor) == 0 == bareiss_det(minor)
+    ks = {k for _, (k, _) in calls}
+    assert ks and max(ks) < len(upper)  # every prime was skipped
+    assert all(p >> 28 for (_, p), _ in calls)
+    leading = math.prod(s_diag[: max(ks) + 1])
+    assert len(calls) <= -(-leading.bit_length() // 28) + 1
 
 
 def _weighted_path_minor(weights):
@@ -189,24 +215,24 @@ def _weighted_path_minor(weights):
     [
         # first leading minor w1 + w2 = p1, entries past p1 and past 2^64:
         # every prime reduces the rows slot by slot
-        lambda p1, p2: [p1 - 7, 7, 3 * p1 + 5, (1 << 70) + 1, p1],
+        lambda p1, p2: (0, [p1 - 7, 7, 3 * p1 + 5, (1 << 70) + 1, p1]),
         # second leading minor w1 w2 + w1 w3 + w2 w3 = p1 and largest entry
         # p2: the rows are split by sign for p1 and reduced slot by slot after
-        lambda p1, p2: [1, 1, (p1 - 1) // 2, p2 - (p1 - 1) // 2, 3],
+        lambda p1, p2: (1, [1, 1, (p1 - 1) // 2, p2 - (p1 - 1) // 2, 3]),
     ],
 )
 def test_unlucky_prime_and_large_entries(path_weights):
     m = 5
     primes = _slot_primes(m)
     p1, p2 = next(primes), next(primes)
-    weights = path_weights(p1, p2)
+    vanishing, weights = path_weights(p1, p2)
     a = _weighted_path_minor(weights)
     assert max(abs(v) for row in a for v in row) >= p2
     rows = [_reduced_row([(j - i, v) for j, v in enumerate(row) if j >= i and v], m - i, p1)
             for i, row in enumerate(a)]
-    assert _spd_det_mod(rows, p1) is None
+    assert _spd_det_mod(rows, p1)[0] == vanishing
     expected = math.prod(weights)  # a path has one spanning tree of that weight
-    assert _spd_det(a) == expected == bareiss_det(a) == _det_fraction(a)
+    assert _det(a) == expected == bareiss_det(a) == _det_fraction(a)
 
 
 def test_slot_limit_is_the_largest_safe_modulus():
@@ -242,20 +268,21 @@ def test_pack_round_trip(slots):
 
 
 def _spy(monkeypatch, name):
-    """Record the arguments of every call to one of adjacency's functions."""
+    """Record the arguments and the result of every call to one of adjacency's functions."""
     calls = []
     inner = getattr(adjacency, name)
 
     def spy(*args):
-        calls.append(args)
-        return inner(*args)
+        result = inner(*args)
+        calls.append((args, result))
+        return result
 
     monkeypatch.setattr(adjacency, name, spy)
     return calls
 
 
 def _schur(a):
-    return _independent_schur(a, [a[i][i] for i in range(len(a))])
+    return _independent_schur(*_sparse(a))
 
 
 @pytest.mark.parametrize(
@@ -271,8 +298,8 @@ def _schur(a):
 def test_independent_set_takes_the_whole_minor(a, monkeypatch):
     calls = _spy(monkeypatch, "_spd_det_mod")
     assert _schur(a)[2] == []
-    assert _spd_det(a) == bareiss_det(a) == math.prod(a[i][i] for i in range(len(a)))
-    assert {len(rows) for rows, _ in calls} == {0}
+    assert _det(a) == bareiss_det(a) == math.prod(a[i][i] for i in range(len(a)))
+    assert {len(rows) for (rows, _), _ in calls} == {0}
 
 
 @pytest.mark.parametrize(
@@ -285,7 +312,7 @@ def test_independent_set_takes_the_whole_minor(a, monkeypatch):
     ],
 )
 def test_zero_diagonal_gives_zero(a):
-    assert _spd_det(a) == bareiss_det(a) == 0
+    assert _det(a) == bareiss_det(a) == 0
 
 
 def test_prime_dividing_the_lcm_is_skipped(monkeypatch):
@@ -296,19 +323,21 @@ def test_prime_dividing_the_lcm_is_skipped(monkeypatch):
     assert (lam, dprod, len(upper)) == (p1, p1, 2)
     assert max(abs(v) for entries in upper for _, v in entries) >= p1
     calls = _spy(monkeypatch, "_spd_det_mod")
-    assert _spd_det(a) == bareiss_det(a) == _det_fraction(a)
-    assert [p for _, p in calls][:1] == [p2]
+    assert _det(a) == bareiss_det(a) == _det_fraction(a)
+    assert [p for (_, p), _ in calls][:1] == [p2]
 
 
-def test_pivoted_fallback_through_spd_det(monkeypatch):
+def test_unlucky_prime_is_skipped_through_spd_det(monkeypatch):
     # I = {0, 2} with unit diagonal leaves lam S = [[p1, -1], [-1, 2]]:
-    # its first leading minor is p1, so p1 takes the pivoted elimination
+    # its first leading minor is p1, so p1 vanishes at pivot 0 and is
+    # skipped, and p1 <= p1 (the block's diagonal) proves nothing
     p1 = next(_slot_primes(2))
     a = [[1, -1, 0, 0], [-1, p1 + 1, 0, -1], [0, 0, 1, -1], [0, -1, -1, 3]]
     assert _schur(a) == (1, 1, [[(0, p1), (1, -1)], [(0, 2)]])
-    calls = _spy(monkeypatch, "_pivoted_det_mod")
-    assert _spd_det(a) == bareiss_det(a) == 2 * p1 - 1
-    assert [p for _, _, p in calls] == [p1]
+    calls = _spy(monkeypatch, "_spd_det_mod")
+    assert _det(a) == bareiss_det(a) == 2 * p1 - 1
+    assert [(p, k) for (_, p), (k, _) in calls][0] == (p1, 0)
+    assert all(k == 2 for _, (k, _) in calls[1:]) and len(calls) > 1
 
 
 @pytest.mark.parametrize("e, slot_by_slot", [(10, False), (30, False), (60, False), (100, True)])
@@ -323,7 +352,7 @@ def test_scaled_schur_entries_past_the_modulus(e, slot_by_slot, monkeypatch):
     top = max(abs(v) for entries in upper for _, v in entries)
     assert (top >= next(_slot_primes(2))) == (e >= 30)
     calls = _spy(monkeypatch, "_reduced_row")
-    assert _spd_det(a) == math.prod(weights) == bareiss_det(a)
+    assert _det(a) == math.prod(weights) == bareiss_det(a)
     assert bool(calls) == slot_by_slot
 
 
@@ -340,7 +369,17 @@ def gram_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(gram_matrices())
 def test_drawn_semidefinite_matrices_match_bareiss(a):
-    assert _spd_det(a) == bareiss_det(a)
+    assert _det(a) == bareiss_det(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gram_matrices())
+def test_drawn_semidefinite_matrices_match_bareiss_with_small_primes(a):
+    # primes 3, 5, 7, ...: about half of them meet a vanishing pivot, so
+    # the skip rule carries the result
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adjacency, "_slot_primes", lambda m: filter(sympy.isprime, itertools.count(3)))
+        assert _det(a) == bareiss_det(a)
 
 
 def test_dense_count_eliminates_half_the_minor_per_prime(monkeypatch):
@@ -350,4 +389,4 @@ def test_dense_count_eliminates_half_the_minor_per_prime(monkeypatch):
     for condensed, primes, expected in [(False, 43, DENSE_ZETA_G), (True, 41, DENSE_ZETA_GHAT)]:
         calls = _spy(monkeypatch, "_spd_det_mod")
         assert best_count(g, condensed) == expected
-        assert [len(rows) for rows, _ in calls] == [118] * primes
+        assert [len(rows) for (rows, _), _ in calls] == [118] * primes

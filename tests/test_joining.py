@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -282,21 +283,42 @@ def test_sampler_walk_tables_are_built_once_in_edge_order():
     assert g.walk_tables is g.walk_tables
 
 
-def test_connectivity_is_searched_once_per_graph(monkeypatch):
+def test_neighbour_table_is_built_once_per_graph(monkeypatch):
     g = FactoredLfsr.from_strings(ROW3).graph()
-    searches = []
-    real = AdjacencyGraph.adjacency_lists
+    builds = []
+    real = AdjacencyGraph.neighbours.func
 
-    def adjacency_lists(self):
-        searches.append(self)
+    def neighbours(self):
+        builds.append(self)
         return real(self)
 
-    monkeypatch.setattr(AdjacencyGraph, "adjacency_lists", adjacency_lists)
+    table = functools.cached_property(neighbours)
+    table.__set_name__(AdjacencyGraph, "neighbours")
+    monkeypatch.setattr(AdjacencyGraph, "neighbours", table)
+    assert g.is_connected()
+    assert len(list(g_trees(g, limit=50))) == 50
     rng = random.Random(1)
     for _ in range(3):
         random_spanning_tree(g, rng)
-    assert g.is_connected() and best_count(g) == 926016
-    assert searches == [g]
+    assert best_count(g) == 926016 and best_count(g, condensed=True) == 15
+    assert builds == [g]
+
+
+def test_hand_built_graph_ignores_edge_key_order():
+    # the same multigraph with its keys inserted sorted and shuffled
+    rng = random.Random(5)
+    mults = {(a, b): rng.randint(1, 3) for a in range(9) for b in range(a + 1, 9) if rng.random() < 0.5}
+    mults.update({(a, a + 1): 2 for a in range(8)})
+    sorted_g = _toy_graph(dict(sorted(mults.items())))
+    shuffled = list(sorted_g.edges)
+    rng.shuffle(shuffled)
+    assert shuffled != sorted(shuffled)
+    shuffled_g = AdjacencyGraph(9, {k: sorted_g.edges[k] for k in shuffled})
+    assert list(g_trees(shuffled_g, limit=2000)) == list(g_trees(sorted_g, limit=2000))
+    for seed in range(20):
+        assert random_spanning_tree(shuffled_g, seed) == random_spanning_tree(sorted_g, seed)
+    for condensed in (False, True):
+        assert best_count(shuffled_g, condensed) == best_count(sorted_g, condensed)
 
 
 def test_random_spanning_tree_uniform_over_condensed_projection():
