@@ -9,17 +9,20 @@ spanning tree of G produces a de Bruijn sequence, so counting the
 sequences constructible from the register is counting spanning trees
 (the BEST theorem: any cofactor of the degree-minus-adjacency matrix).
 The cofactor is an exact multimodular determinant of the minor, read
-sparsely off the graph's neighbour table: one symmetric elimination per
-word-sized prime, each row packed into one integer, and CRT up to a
-bound on the count.  Before the primes, a maximal
-independent set of the minor (a diagonal block) is eliminated once,
-exactly over the integers: its Schur complement, scaled by the lcm of
-that diagonal, is an integer matrix, and each prime eliminates only it.
-No edge joins two cycles of one activity class unless every component
-is active, and cycles are listed by class, so unless the minor's first
-class is the all-active one the greedy set holds all of it: on
-dense-count (``11,1011110010111``) 117 of the 235 rows, which halves
-the rows each prime eliminates.
+sparsely off the graph's neighbour table (per row, parallel column and
+value lists): one symmetric elimination per word-sized prime, each row
+packed into one integer, and CRT up to a bound on the count.  Before
+the primes, a maximal independent set of the minor (a diagonal block)
+is eliminated once, exactly over the integers: its Schur complement,
+scaled by the lcm of that diagonal, is an integer matrix, and each
+prime eliminates only it.  Its dense rows are split once into rows of
+signed digits, from which every prime packs its rows by one
+expression; past three digits the primes come from a lower limit, so
+the slots still cannot carry.  No edge joins two cycles of one
+activity class unless every component is active, and cycles are listed
+by class, so unless the minor's first class is the all-active one the
+greedy set holds all of it: on dense-count (``11,1011110010111``) 117
+of the 235 rows, which halves the rows each prime eliminates.
 
 The pair search is factored: S decomposes into per-factor blocks
 T^{c_i} a_{d_i}, each factor gets a table of local shift pairs whose
@@ -466,31 +469,32 @@ def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
     The minor is read off the neighbour table, never formed densely:
     vertex 0 is dropped, and each other vertex gives a diagonal entry,
     its weighted degree (for the condensed graph, its neighbour count),
-    and the off-diagonal nonzeros of its row, ascending.  For a
-    connected graph the minor is symmetric positive definite, and
-    orienting each spanning tree toward vertex 0 gives every other
-    vertex one parent edge among its incident edges, so the count is at
-    most the product of that diagonal.  ``_spd_det`` takes it from
-    there.
+    and its row's off-diagonal nonzeros as two parallel lists, columns
+    and values, ascending.  For a connected graph the minor is symmetric
+    positive definite, and orienting each spanning tree toward vertex 0
+    gives every other vertex one parent edge among its incident edges,
+    so the count is at most the product of that diagonal.  ``_spd_det``
+    takes it from there.
     """
     if not graph.is_connected():
         return 0
     nbrs, mults = graph.neighbours
     diag, rows = [], []
     for ns, ms in zip(nbrs[1:], mults[1:]):
-        if condensed:
-            ms = [1] * len(ns)
-        diag.append(sum(ms))
-        rows.append([(u - 1, -m) for u, m in zip(ns, ms) if u])
+        cols = [u - 1 for u in ns if u]
+        vals = [-1] * len(cols) if condensed else [-m for u, m in zip(ns, ms) if u]
+        diag.append(len(ns) if condensed else sum(ms))
+        rows.append((cols, vals))
     return _spd_det(diag, rows)
 
 
 # Packed elimination: row i of the upper triangle is one int holding
-# columns i..m-1 in 64-bit slots, slot 0 lowest.  A slot starts below
-# 2 p^2 (a residue, not necessarily reduced) and gains less than p^2
-# from each of at most m - 1 pivots before its row is reduced as a
-# pivot, so p^2 (m + 2) < 2^64 keeps every slot from carrying into the
-# next.
+# columns i..m-1 in 64-bit slots, slot 0 lowest.  A slot starts at most
+# at the negative-entry offset of ``_spd_det`` (a residue, not
+# necessarily reduced), below 2 L^2 for up to three digits, L the slot
+# limit, and gains less than L^2 from each of at most m - 1 pivots
+# before its row is reduced as a pivot, so L^2 (m + 2) < 2^64 keeps
+# every slot from carrying into the next.
 _SLOT_BITS = 64
 _SLOT_MAX = (1 << _SLOT_BITS) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -547,18 +551,19 @@ def _unpack(x: int, width: int) -> list[int]:
     return words[::-1] if _BIG_ENDIAN else words
 
 
-def _digit_rows(entries, width: int, shift: int, ndigits: int) -> tuple[list[int], int]:
-    """A row as ndigits packed rows of signed base-2^shift digits, and a 1 at each negative entry.
+def _digit_rows(row: list[int], shift: int, ndigits: int) -> tuple[list[int], int]:
+    """A dense row as ndigits packed rows of signed base-2^shift digits, and a 1 at each negative entry.
 
     Packing is linear, so the digit rows hold negative slots as plain
     big-int differences; a combination that leaves every slot in
     [0, 2^64) is the packed row of those slot values.
     """
+    width = len(row)
     pos = [[0] * width for _ in range(ndigits)]
     neg = [[0] * width for _ in range(ndigits)]
     mask = [0] * width
     low = (1 << shift) - 1
-    for d, v in entries:
+    for d, v in enumerate(row):
         side = pos
         if v < 0:
             side, mask[d], v = neg, 1, -v
@@ -568,19 +573,13 @@ def _digit_rows(entries, width: int, shift: int, ndigits: int) -> tuple[list[int
     return [_pack(a) - _pack(b) for a, b in zip(pos, neg)], _pack(mask)
 
 
-def _reduced_row(entries, width: int, p: int) -> int:
-    slots = [0] * width
-    for d, v in entries:
-        slots[d] = v % p
-    return _pack(slots)
-
-
 def _spd_det_mod(rows: list[int], p: int) -> tuple[int, int]:
     """Packed symmetric elimination mod p: (pivots taken, their product mod p).
 
     rows[i] holds the upper triangle's row i with every slot a residue
-    below 2 p^2; the list is consumed.  Stops at the first pivot k that
-    vanishes mod p, a prime dividing the (k + 1)-th leading minor.
+    no larger than ``_spd_det``'s offset; the list is consumed.  Stops at
+    the first pivot k that vanishes mod p, a prime dividing the (k + 1)-th
+    leading minor.
     """
     m = len(rows)
     det = 1
@@ -611,54 +610,57 @@ def _independent_schur(diag: list[int], rows: list) -> tuple[int, int, list]:
     in I is in the rest R.  The Schur complement of A_II is
     S = A_RR - sum_k b_k b_k^T / d_k over k in I, with b_k = A_Rk, and
     det A = prod_k d_k * det S.  Scaled by lam = lcm(d_k) it is an
-    integer matrix, returned as its sparse upper triangle, (column - row,
-    entry) per nonzero; it is positive (semi)definite whenever A is.
+    integer matrix, built and returned as its dense upper triangle: row
+    n holds columns n..|R|-1, so row[0] is its diagonal entry.  It is
+    positive (semi)definite whenever A is.
     """
     m = len(diag)
     indep, covered = [], [False] * m
     for i in range(m):
         if not covered[i]:
             indep.append(i)
-            for j, _ in rows[i]:
+            for j in rows[i][0]:
                 covered[j] = True
     at = {x: n for n, x in enumerate(i for i in range(m) if covered[i])}
     lam = lcm(*(diag[k] for k in indep))
-    s = []
+    upper = []
     for x, n in at.items():
-        sx = [0] * len(at)
-        sx[n] = lam * diag[x]
-        for y, v in rows[x]:
-            if y in at:
-                sx[at[y]] = lam * v
-        s.append(sx)
+        sx = [0] * (len(at) - n)
+        sx[0] = lam * diag[x]
+        for y, v in zip(*rows[x]):
+            if y > x and y in at:
+                sx[at[y] - n] = lam * v
+        upper.append(sx)
     for k in indep:
         w = lam // diag[k]
         # at[] keeps k's neighbours in order, so each update lands in the
         # upper triangle
-        col = [(at[x], v) for x, v in rows[k]]
-        for n, (x, u) in enumerate(col):
-            sx, wu = s[x], w * u
-            for y, v in col[n:]:
-                sx[y] -= wu * v
-    upper = [[(d, v) for d, v in enumerate(row[i:]) if v] for i, row in enumerate(s)]
+        cols, vals = [at[x] for x in rows[k][0]], rows[k][1]
+        for n, (x, u) in enumerate(zip(cols, vals)):
+            sx, wu = upper[x], w * u
+            for y, v in zip(cols[n:], vals[n:]):
+                sx[y - x] -= wu * v
     return lam, math.prod(diag[k] for k in indep), upper
 
 
 def _spd_det(diag: list[int], rows: list) -> int:
     """Exact determinant of a symmetric positive semidefinite integer matrix.
 
-    The matrix comes as its diagonal and, per row, its off-diagonal
-    nonzeros as ascending (column, entry) pairs.  Hadamard's inequality
-    bounds the determinant by the product of the diagonal; residues
-    modulo primes whose product exceeds that bound are combined by CRT
-    into the unique value below that product.  A zero on the diagonal of
-    a semidefinite matrix lies on a zero row, so it gives 0 at once.
+    The matrix comes as its diagonal and, per row, the columns and the
+    entries of its off-diagonal nonzeros, two parallel lists, ascending.
+    Hadamard's inequality bounds the determinant by the product of the
+    diagonal; residues modulo primes whose product exceeds that bound
+    are combined by CRT into the unique value below that product.  A
+    zero on the diagonal of a semidefinite matrix lies on a zero row, so
+    it gives 0 at once.
 
     A maximal independent set I is eliminated once, exactly over the
     integers (``_independent_schur``), so each prime eliminates only the
     rest R: det A = prod_I d_k * det(lam S) * lam^-|R| modulo any prime
     not dividing lam, and such primes are skipped.  The residues are
     still those of det A, so the bound and the count are unchanged.
+    Each dense row of lam S is dropped as it is split into digit rows,
+    and the digit rows serve every prime.
 
     A prime that meets a vanishing pivot k is skipped too, and multiplied
     into vanished[k].  Each prime recorded at k divides the (k + 1)-th
@@ -673,32 +675,29 @@ def _spd_det(diag: list[int], rows: list) -> int:
         return 0
     lam, dprod, upper = _independent_schur(diag, rows)
     r = len(upper)
-    s_diag = [e[0][1] if e and not e[0][0] else 0 for e in upper]
+    s_diag = [row[0] for row in upper]
     if 0 in s_diag:
         return 0
-    # lam S's entries as signed base-2^shift digits, 2^shift below every
-    # prime the digits serve: c_t = 2^(shift t) mod p recombines them, and
-    # p * sum(c_t) added at each negative entry leaves every slot a
-    # residue in [0, p * sum(c_t)], below 2 p^2 for up to three digits,
-    # in a few big-int operations per row; more digits, or a prime too
-    # small for them, reduce the rows slot by slot
+    # lam S's entries as signed base-2^shift digits, 2^shift at most half
+    # the slot limit L: c_t = 2^(shift t) mod p recombines them, and the
+    # least multiple of p at or above 2^shift sum(c_t), added at each
+    # negative entry, leaves every slot a residue in [0, that offset].
+    # The offset is below 2^shift ndigits p + p: below 2 L^2 for up to
+    # three digits, and covered past three by the limit of
+    # ndigits (ndigits - 3) more rows
     shift = _slot_prime_limit(r).bit_length() - 2
-    top = max((abs(v) for entries in upper for _, v in entries), default=0)
+    top = max((abs(v) for row in upper for v in row), default=0)
     ndigits = max(1, -(-top.bit_length() // shift))
-    if ndigits <= 3:
-        split = [_digit_rows(e, r - i, shift, ndigits) for i, e in enumerate(upper)]
+    split = [_digit_rows(upper.pop(), shift, ndigits) for _ in range(r)][::-1]
     x, modulus, vanished = 0, 1, {}
-    primes = _slot_primes(r)
+    primes = _slot_primes(r + max(0, ndigits - 3) * ndigits)
     while modulus <= bound:
         p = next(primes)
         if lam % p == 0:
             continue
-        if ndigits <= 3 and p >> shift:
-            cs = [pow(2, shift * t, p) for t in range(ndigits)]
-            pc = p * sum(cs)
-            packed = [sum(map(mul, cs, digits)) + pc * mask for digits, mask in split]
-        else:
-            packed = [_reduced_row(e, r - i, p) for i, e in enumerate(upper)]
+        cs = [pow(2, shift * t, p) for t in range(ndigits)]
+        offset = -(-(sum(cs) << shift) // p) * p
+        packed = [sum(map(mul, cs, digits)) + offset * mask for digits, mask in split]
         k, det = _spd_det_mod(packed, p)
         if k < r:
             vanished[k] = vanished.get(k, 1) * p

@@ -32,6 +32,7 @@ _windows), out of one big integer with one byte per bit, and marks
 each in a table of 2^n bytes.
 """
 
+import heapq
 import itertools
 import math
 import random
@@ -302,11 +303,11 @@ def greedy_connected_subgraph(cycles: CycleSet, tables, factors, basis, rep) -> 
     psi = len(cycles)
     reached = bytearray(psi)
     reached[0] = 1
-    frontier = [0]
+    count = 1
+    frontier = [0]  # a heap: the smallest index is processed first
     edges = {}
-    while frontier and sum(reached) < psi:
-        cur = min(frontier)
-        frontier.remove(cur)
+    while frontier and count < psi:
+        cur = heapq.heappop(frontier)
         for j in search.partners[cur]:
             if reached[j]:
                 continue
@@ -315,8 +316,9 @@ def greedy_connected_subgraph(cycles: CycleSet, tables, factors, basis, rep) -> 
             if pair is not None:
                 edges[(a, b)] = (pair,)
                 reached[j] = 1
-                frontier.append(j)
-    if sum(reached) < psi:
+                count += 1
+                heapq.heappush(frontier, j)
+    if count < psi:
         missing = [i for i in range(psi) if not reached[i]]
         raise ValueError(f"could not connect all cycles; unreachable: {missing}")
     return AdjacencyGraph(psi, edges)

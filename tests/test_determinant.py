@@ -14,13 +14,15 @@ its own edge cases: nothing left after it, a zero diagonal, a prime
 dividing the lcm of the eliminated diagonal, and a scaled Schur
 complement whose entries pass the modulus or whose first pivot
 vanishes mod p.  A singular minor must end within the primes the skip
-rule allows.
+rule allows.  The slot bound is checked over row and digit counts, and
+the cofactor's peak memory on a mid-size register.
 """
 
 import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 import sympy
@@ -33,7 +35,6 @@ from cyclejoin.adjacency import (
     _independent_schur,
     _is_prime,
     _pack,
-    _reduced_row,
     _slot_prime_limit,
     _slot_primes,
     _spd_det,
@@ -92,9 +93,14 @@ def _minor(graph, condensed):
 
 
 def _sparse(a):
-    """A dense matrix as _spd_det reads it: the diagonal, and each row's off-diagonal nonzeros."""
+    """A dense matrix as _spd_det reads it: the diagonal, and each row's off-diagonal
+    nonzeros as parallel column and value lists."""
     diag = [a[i][i] for i in range(len(a))]
-    return diag, [[(j, v) for j, v in enumerate(row) if v and j != i] for i, row in enumerate(a)]
+    rows = []
+    for i, row in enumerate(a):
+        cols = [j for j, v in enumerate(row) if v and j != i]
+        rows.append((cols, [row[j] for j in cols]))
+    return diag, rows
 
 
 def _det(a):
@@ -188,8 +194,8 @@ def test_singular_minor_ends_within_the_skip_rule(monkeypatch):
     assert not graph.is_connected()
     minor = _minor(graph, False)
     _, _, upper = _schur(minor)
-    s_diag = [e[0][1] for e in upper]
-    assert all(e[0][0] == 0 for e in upper) and min(s_diag) > 0
+    s_diag = [row[0] for row in upper]
+    assert min(s_diag) > 0
     calls = _spy(monkeypatch, "_spd_det_mod")
     assert _det(minor) == 0 == bareiss_det(minor)
     ks = {k for _, (k, _) in calls}
@@ -210,14 +216,17 @@ def _weighted_path_minor(weights):
     return a
 
 
+def _reduced_rows(a, p):
+    """The upper triangle of a, each entry reduced mod p, packed one row per int."""
+    return [_pack([v % p for v in row[i:]]) for i, row in enumerate(a)]
+
+
 @pytest.mark.parametrize(
     "path_weights",
     [
-        # first leading minor w1 + w2 = p1, entries past p1 and past 2^64:
-        # every prime reduces the rows slot by slot
+        # first leading minor w1 + w2 = p1, entries past p1 and past 2^64
         lambda p1, p2: (0, [p1 - 7, 7, 3 * p1 + 5, (1 << 70) + 1, p1]),
-        # second leading minor w1 w2 + w1 w3 + w2 w3 = p1 and largest entry
-        # p2: the rows are split by sign for p1 and reduced slot by slot after
+        # second leading minor w1 w2 + w1 w3 + w2 w3 = p1 and largest entry p2
         lambda p1, p2: (1, [1, 1, (p1 - 1) // 2, p2 - (p1 - 1) // 2, 3]),
     ],
 )
@@ -228,23 +237,37 @@ def test_unlucky_prime_and_large_entries(path_weights):
     vanishing, weights = path_weights(p1, p2)
     a = _weighted_path_minor(weights)
     assert max(abs(v) for row in a for v in row) >= p2
-    rows = [_reduced_row([(j - i, v) for j, v in enumerate(row) if j >= i and v], m - i, p1)
-            for i, row in enumerate(a)]
-    assert _spd_det_mod(rows, p1)[0] == vanishing
+    assert _spd_det_mod(_reduced_rows(a, p1), p1)[0] == vanishing
     expected = math.prod(weights)  # a path has one spanning tree of that weight
     assert _det(a) == expected == bareiss_det(a) == _det_fraction(a)
 
 
+def _digit_prime_limit(r, ndigits):
+    """The slot limit under which _spd_det takes its primes for r rows of ndigits digits."""
+    return _slot_prime_limit(r + max(0, ndigits - 3) * ndigits)
+
+
 def test_slot_limit_is_the_largest_safe_modulus():
-    for m in [1, 2, 3, 10, 31, 235, 315, 1000, 100_000]:
-        limit = _slot_prime_limit(m)
-        assert limit * limit * (m + 2) < 1 << 64 <= (limit + 1) ** 2 * (m + 2)
-        # worst slot: a residue below p plus m - 1 updates below p^2 each
-        assert (limit - 1) + (m - 1) * (limit - 1) ** 2 < 1 << 64
-        primes = list(itertools.islice(_slot_primes(m), 5))
+    for r in [1, 2, 3, 10, 31, 118, 235, 315, 1000, 100_000]:
+        limit = _slot_prime_limit(r)
+        assert limit * limit * (r + 2) < 1 << 64 <= (limit + 1) ** 2 * (r + 2)
+        primes = list(itertools.islice(_slot_primes(r), 5))
         assert primes == sorted(primes, reverse=True) and primes[0] <= limit
         assert all(sympy.isprime(q) for q in primes)
         assert sympy.prevprime(limit + 1) == primes[0]
+        shift = limit.bit_length() - 2
+        for ndigits in [1, 2, 3, 4, 5, 7, 10, 11, 31, 100]:
+            top = _digit_prime_limit(r, ndigits)
+            assert top == limit or ndigits > 3
+            # the largest prime, and the largest below 2^shift
+            for p in {sympy.prevprime(top + 1), sympy.prevprime(min(top, 1 << shift))}:
+                # worst start: every digit 2^shift - 1 and every c_t = p - 1;
+                # a negative entry starts at most at the offset
+                load = sum([p - 1] * ndigits)
+                offset = -(-(load << shift) // p) * p
+                assert ((1 << shift) - 1) * load <= offset
+                # then r - 1 updates below p^2 each
+                assert offset + (r - 1) * (p - 1) ** 2 < 1 << 64, (r, ndigits, p)
 
 
 def test_is_prime_matches_sympy():
@@ -321,7 +344,7 @@ def test_prime_dividing_the_lcm_is_skipped(monkeypatch):
     a = [[p1, -1, -1], [-1, 3, -1], [-1, -1, 3]]
     lam, dprod, upper = _schur(a)
     assert (lam, dprod, len(upper)) == (p1, p1, 2)
-    assert max(abs(v) for entries in upper for _, v in entries) >= p1
+    assert max(abs(v) for row in upper for v in row) >= p1
     calls = _spy(monkeypatch, "_spd_det_mod")
     assert _det(a) == bareiss_det(a) == _det_fraction(a)
     assert [p for (_, p), _ in calls][:1] == [p2]
@@ -333,27 +356,37 @@ def test_unlucky_prime_is_skipped_through_spd_det(monkeypatch):
     # skipped, and p1 <= p1 (the block's diagonal) proves nothing
     p1 = next(_slot_primes(2))
     a = [[1, -1, 0, 0], [-1, p1 + 1, 0, -1], [0, 0, 1, -1], [0, -1, -1, 3]]
-    assert _schur(a) == (1, 1, [[(0, p1), (1, -1)], [(0, 2)]])
+    assert _schur(a) == (1, 1, [[p1, -1], [2]])
     calls = _spy(monkeypatch, "_spd_det_mod")
     assert _det(a) == bareiss_det(a) == 2 * p1 - 1
     assert [(p, k) for (_, p), (k, _) in calls][0] == (p1, 0)
     assert all(k == 2 for _, (k, _) in calls[1:]) and len(calls) > 1
 
 
-@pytest.mark.parametrize("e, slot_by_slot", [(10, False), (30, False), (60, False), (100, True)])
-def test_scaled_schur_entries_past_the_modulus(e, slot_by_slot, monkeypatch):
+@pytest.mark.parametrize("e, past_three", [(10, False), (30, False), (60, False), (100, True), (300, True)])
+def test_scaled_schur_entries_past_the_modulus(e, past_three, monkeypatch):
     # a weighted path: I = {0, 2, 4}, R = {1, 3}; the entries of lam S
-    # grow with e, from below p1 to one, two and three base digits past
-    # it, where each prime reduces the rows slot by slot
+    # grow with e, from below p1 (one base-2^29 digit) to two, three, four
+    # and eleven digits, all packed by one expression per prime
     weights = [3, (1 << e) + 1, 5, (1 << e) - 1, 7]
     a = _weighted_path_minor(weights)
     lam, _, upper = _schur(a)
     assert lam == math.lcm(3 + weights[1], 5 + weights[3], 7)
-    top = max(abs(v) for entries in upper for _, v in entries)
+    top = max(abs(v) for row in upper for v in row)
     assert (top >= next(_slot_primes(2))) == (e >= 30)
-    calls = _spy(monkeypatch, "_reduced_row")
-    assert _det(a) == math.prod(weights) == bareiss_det(a)
-    assert bool(calls) == slot_by_slot
+    with pytest.MonkeyPatch.context() as mp:
+        split = _spy(mp, "_digit_rows")
+        limits = _spy(mp, "_slot_primes")
+        assert _det(a) == math.prod(weights) == bareiss_det(a)
+    (ndigits,) = {args[2] for args, _ in split}
+    assert ndigits == -(-top.bit_length() // 29) and (ndigits > 3) == past_three
+    assert ndigits >= 10 or e < 300
+    # past three digits the primes come from a smaller slot limit
+    ((m,),) = [args for args, _ in limits]
+    assert _slot_prime_limit(m) == _digit_prime_limit(2, ndigits)
+    # and with primes 3, 5, 7, ..., all below 2^shift
+    monkeypatch.setattr(adjacency, "_slot_primes", lambda m: filter(sympy.isprime, itertools.count(3)))
+    assert _det(a) == math.prod(weights)
 
 
 @st.composite
@@ -390,3 +423,20 @@ def test_dense_count_eliminates_half_the_minor_per_prime(monkeypatch):
         calls = _spy(monkeypatch, "_spd_det_mod")
         assert best_count(g, condensed) == expected
         assert [len(rows) for (rows, _), _ in calls] == [118] * primes
+
+
+def test_cofactor_peak_memory(monkeypatch):
+    # psi = 74: the minor's rows are parallel int lists, and lam S's dense
+    # rows are dropped as they are split into digit rows, so the peak is
+    # about 120 KiB for either count; a tuple per nonzero and lam S kept
+    # through the prime loop took about 260 KiB
+    g = FactoredLfsr.from_strings("1001001,1010111").graph()
+    assert g.num_vertices == 74 and g.is_connected()  # the neighbour table is built
+    for condensed in (False, True):
+        tracemalloc.start()
+        try:
+            best_count(g, condensed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 192 * 1024, (condensed, peak)
