@@ -38,6 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_format_opt(p):
+        p.add_argument(
+            "--format", choices=("text", "json"), default="text", help="report format (default text)"
+        )
+
     def add_factor_opts(p):
         p.add_argument(
             "--factors",
@@ -50,7 +55,15 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_MAX_ORDER,
             help=f"safety cap on the total degree (default {DEFAULT_MAX_ORDER})",
         )
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        add_format_opt(p)
+
+    def add_output_opts(p):
+        p.add_argument("--limit", type=int, default=100, help="number of sequences (default 100)")
+        p.add_argument("--initial-state", help="start state bits, s_0 first (default all zero)")
+        p.add_argument("--hex", action="store_true", help="pack output as hex, s_0 at the top bit")
+        p.add_argument(
+            "--provenance", action="store_true", help="also emit each tree's conjugate pairs"
+        )
 
     p = sub.add_parser("analyze", help="cycle table and pair-count matrix")
     add_factor_opts(p)
@@ -60,11 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit sequences from deterministic trees")
     add_factor_opts(p)
-    p.add_argument("--limit", type=int, default=100, help="number of sequences (default 100)")
+    add_output_opts(p)
     p.add_argument("--tree-index", type=int, default=0, help="start at the k-th tree")
-    p.add_argument("--initial-state", help="start state bits, s_0 first (default all zero)")
-    p.add_argument("--hex", action="store_true", help="pack output as hex, s_0 at the top bit")
-    p.add_argument("--provenance", action="store_true", help="also emit each tree's conjugate pairs")
     p.add_argument(
         "--partial",
         action="store_true",
@@ -75,16 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="emit sequences from uniformly random trees")
     add_factor_opts(p)
-    p.add_argument("--limit", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--initial-state", help="start state bits, s_0 first (default all zero)")
-    p.add_argument("--hex", action="store_true")
-    p.add_argument("--provenance", action="store_true")
+    add_output_opts(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the tree draws (default 0)")
 
     p = sub.add_parser("verify", help="check the de Bruijn property of input sequences")
     p.add_argument("path", nargs="?", default="-", help="file of bit strings, one per line ('-' = stdin)")
     p.add_argument("--order", type=int, help="expected order n (default: inferred per line)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    add_format_opt(p)
 
     return parser
 

@@ -12,8 +12,10 @@ periods).  ``shift_levels`` is the one home of that rule: the ranges
 enumerated here, the canonical form of a shift tuple and the pair
 search's merges (adjacency) all read their moduli from it.
 
-Every cycle gets one representative state, assembled from shifted
-per-factor states through the StateBasis.
+Each factor's nonzero cycles, with their states in order, are cut
+from one m-sequence of its associated primitive (``states_per_factor``).
+Every cycle of the product register gets one representative state,
+assembled from shifted per-factor states through the StateBasis.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from math import gcd, prod
 
 from .gf2 import degree, find_associated_primitive, format_poly, is_irreducible, poly_order
-from .lfsr import Lfsr, StateBasis, bits_to_state, decimate, solve_initial_state
+from .lfsr import _BIT_VALUES, Lfsr, StateBasis, _windows
 
 __all__ = [
     "FactorData",
@@ -43,8 +45,8 @@ class FactorData:
     zero cycle is implicit and is addressed by index ``t`` where pair
     sets need it.  The representatives are anchored by decimation of
     the associated primitive's m-sequence, which ties cycle j to the
-    j-th cyclotomic class.  The orbit table (``orbit``, ``locate``) is
-    the one place a factor's cycles are walked.
+    j-th cyclotomic class.  The orbit table and its inverse are cut
+    from that m-sequence once, by states_per_factor, and only read here.
     """
 
     poly: int
@@ -53,51 +55,18 @@ class FactorData:
     t: int
     states: tuple[int, ...]
     assoc_primitive: int
-    lfsr: Lfsr
-    _where: list | None = field(default=None, repr=False, compare=False)
-    _orbit: list | None = field(default=None, repr=False, compare=False)
-
-    def _walk(self) -> None:
-        """Walk every nonzero cycle once, filling the orbit table and its inverse.
-
-        The inverse is a flat list indexed by state holding j*order + k,
-        with -1 for the zero state.
-        """
-        e, taps, n1 = self.order, self.lfsr.taps, self.degree - 1
-        where = [-1] * (1 << self.degree)
-        orbit = []
-        for j, rep in enumerate(self.states):
-            x = rep
-            row = []
-            for pos in range(j * e, (j + 1) * e):
-                where[x] = pos
-                row.append(x)
-                x = (x >> 1) | ((x & taps).bit_count() & 1) << n1
-            if x != rep:
-                raise AssertionError(f"cycle {j} of {format_poly(self.poly)} did not close")
-            orbit.append(row)
-        if where.count(-1) != 1:
-            raise AssertionError(
-                f"representatives of {format_poly(self.poly)} do not cover distinct cycles"
-            )
-        self._where, self._orbit = where, orbit
+    _orbits: tuple[list[int], ...] = field(repr=False, compare=False)
+    _where: list[int] = field(repr=False, compare=False)
 
     def orbit(self, j: int) -> list[int]:
-        """The states of cycle j in order: ``orbit(j)[k] == T^k states[j]``.
-
-        Built on first use, over all 2^deg - 1 nonzero states.
-        """
-        if self._orbit is None:
-            self._walk()
-        return self._orbit[j]
+        """The states of cycle j in order: ``orbit(j)[k] == T^k states[j]``."""
+        return self._orbits[j]
 
     def positions(self) -> list[int]:
         """The orbit table's inverse: entry x is j*order + k where x = T^k states[j].
 
-        Entry 0, the zero state, is -1.  Built on first use.
+        Entry 0, the zero state, is -1.
         """
-        if self._where is None:
-            self._walk()
         return self._where
 
     def locate(self, state: int) -> tuple[int, int]:
@@ -106,18 +75,19 @@ class FactorData:
             raise ValueError("the zero state lies on the zero cycle")
         if state >> self.degree:
             raise ValueError(f"state {state:#x} does not fit in {self.degree} stages")
-        return divmod(self.positions()[state], self.order)
+        return divmod(self._where[state], self.order)
 
 
 def states_per_factor(p: int) -> FactorData:
-    """A representative state for every nonzero cycle of one factor.
+    """A representative state for every nonzero cycle of one factor, and their orbits.
 
-    For a primitive factor the single nonzero cycle holds all nonzero
-    states and (1, 0, ..., 0) will do.  Otherwise take n*t consecutive
-    bits of the associated primitive's m-sequence, started so that its
-    t-decimation begins with (1, 0, ..., 0); the t decimations at
-    offsets 0..t-1 then start on pairwise distinct cycles, and their
-    length-n prefixes are the representatives.
+    Everything is cut from one string: the m-sequence of the
+    associated primitive q (p itself when p is primitive), read from
+    (1, 0, ..., 0).  Started at position i, its t-decimations at
+    offsets 0..t-1 are the t nonzero cycles of p, each read in full;
+    i is the one start whose decimation at offset 0 opens with
+    (1, 0, ..., 0), found by searching each decimation for that window.
+    A cycle's n-bit windows are its states in order.
     """
     if not is_irreducible(p):
         raise ValueError(f"factor {format_poly(p)} is reducible")
@@ -125,25 +95,43 @@ def states_per_factor(p: int) -> FactorData:
         raise ValueError("factor x is not allowed: the register would be singular")
     n = degree(p)
     e = poly_order(p)
-    t = ((1 << n) - 1) // e
-    if t == 1:
-        q = p
-        states = (1,)
+    size = (1 << n) - 1
+    t = size // e
+    q = p if t == 1 else find_associated_primitive(p)
+    table = Lfsr(q).cycle_table()
+    seq = table.cycles[table.locate(1)[0]]
+    del table  # its landmarks would otherwise add to the peak of the orbit table below
+    if len(seq) != size:
+        raise AssertionError(f"{format_poly(q)} is not primitive: its cycle has {len(seq)} states")
+    impulse = "1" + "0" * (n - 1)
+    for r in range(t):
+        d = seq[r::t]
+        k = (d + d[: n - 1]).find(impulse)
+        if k >= 0:
+            break
     else:
-        q = find_associated_primitive(p)
-        init = solve_initial_state(q, t)
-        window = Lfsr(q).generate(init, n * t)
-        states = tuple(
-            bits_to_state(decimate(window, t, offset=j, count=n)) for j in range(t)
-        )
+        raise AssertionError(f"no decimation of {format_poly(q)}'s m-sequence meets {impulse}")
+    i = r + t * k
+    seq = seq[i:] + seq[:i]
+    orbits = []
+    where = [-1] * (size + 1)
+    for j in range(t):
+        d = seq[j::t]
+        orbit = _windows((d + d[: n - 1]).encode("ascii").translate(_BIT_VALUES), n).tolist()
+        for pos, x in enumerate(orbit, j * e):
+            where[x] = pos
+        orbits.append(orbit)
+    if where.count(-1) != 1:
+        raise AssertionError(f"the orbits of {format_poly(p)} do not cover distinct cycles")
     return FactorData(
         poly=p,
         degree=n,
         order=e,
         t=t,
-        states=states,
+        states=tuple(orbit[0] for orbit in orbits),
         assoc_primitive=q,
-        lfsr=Lfsr(p),
+        _orbits=tuple(orbits),
+        _where=where,
     )
 
 

@@ -203,7 +203,7 @@ def find_associated_primitive(g: int) -> int:
     if t == 1:
         return g
     for q in range((1 << n) | 1, 1 << (n + 1), 2):
-        if not is_irreducible(q) or poly_order(q) != (1 << n) - 1:
+        if not is_primitive(q):
             continue
         beta = poly_powmod(X, t, q)
         if _eval_poly(g, beta, q) == 0:

@@ -1,4 +1,4 @@
-"""LFSR state machinery: stepping, sequences, cycle tables, decimation, state bases.
+"""LFSR state machinery: stepping, sequences, cycle tables, state bases.
 
 A state of an n-stage register is an int whose bit i holds s_i, i.e.
 the next output bit sits in bit 0.  All bit I/O follows this
@@ -7,22 +7,21 @@ least-index-first convention, matching the way states are written as
 
 Output bit k of a register with characteristic polynomial q is a
 fixed linear form of its state: s_k = sum h_i s_i when
-x^k = sum h_i x^i (mod q).  So conditions on bits far along the output
-are read off powers of x modulo q, with no matrix powers.  Matrices
-over GF(2) (the state basis) are stored as lists of row masks.
+x^k = sum h_i x^i (mod q).  So a cycle table extends a long cycle by
+powers of x modulo q, with no matrix powers, and cuts its states from
+the bit string as n-bit windows.  Matrices over GF(2) (the state
+basis) are stored as lists of row masks.
 """
 
 import sys
 from array import array
 from itertools import repeat
 
-from .gf2 import X, degree, format_poly, is_primitive, poly_mod, poly_mulmod, poly_powmod
+from .gf2 import X, degree, format_poly, poly_mod, poly_mulmod
 
 __all__ = [
     "Lfsr",
     "CycleTable",
-    "decimate",
-    "solve_initial_state",
     "StateBasis",
     "bits_to_state",
     "state_to_str",
@@ -298,51 +297,6 @@ def _windows(data: bytes, n: int) -> array:
         slots[slot::width] = memoryview(rows[b])[8 * b : 8 * b + count]
     del rows
     return array(_SLOT_FORMATS[width], slots)
-
-
-def decimate(seq, d: int, offset: int = 0, count: int | None = None) -> list[int]:
-    """The d-decimation v_j = seq[offset + d*j].
-
-    Yields every full sample available, or exactly `count` samples when
-    requested (raising if the input is too short for that).
-    """
-    if d < 1 or offset < 0:
-        raise ValueError("need d >= 1 and offset >= 0")
-    n = len(seq)
-    avail = 0 if offset >= n else (n - offset - 1) // d + 1
-    if count is None:
-        count = avail
-    elif count > avail:
-        raise ValueError(f"sequence too short: {count} samples requested, {avail} available")
-    return [seq[offset + d * j] for j in range(count)]
-
-
-def solve_initial_state(q: int, t: int) -> int:
-    """Initial state making the t-decimation of q's m-sequence start (1, 0, ..., 0).
-
-    q must be primitive of degree n, t a divisor of 2^n - 1.  Output
-    bit jt of state s is sum s_i h_i, where x^(jt) = sum h_i x^i
-    (mod q), so s solves the n linear conditions "that sum equals
-    [j == 0]": s times the condition matrix is (1, 0, ..., 0), and s is
-    row 0 of its inverse.  The matrix is singular, and no such state
-    exists, when x^t lies in a proper subfield of GF(2)[x]/(q).
-    """
-    if not is_primitive(q):
-        raise ValueError(f"{format_poly(q)} is not primitive")
-    n = degree(q)
-    if t < 1 or ((1 << n) - 1) % t:
-        raise ValueError("t must divide 2^n - 1")
-    step_t = poly_powmod(X, t, q)
-    cond = [0] * n  # cond[i] bit j = coefficient of x^i in x^(jt) mod q
-    acc = 1
-    for j in range(n):
-        for i in range(n):
-            cond[i] |= (acc >> i & 1) << j
-        acc = poly_mulmod(acc, step_t, q)
-    try:
-        return _gf2_invert(cond, n)[0]
-    except ValueError:
-        raise ValueError(f"x^{t} lies in a proper subfield modulo {format_poly(q)}") from None
 
 
 class StateBasis:

@@ -1,10 +1,10 @@
 """Register-state helpers that only the tests use.
 
-The package walks each factor's cycles once into an orbit table and
-reads states from it; these helpers reach the same states the slow
-way, by stepping a register or raising its companion matrix to a
-power, and find a joint state's cycle by decomposing it through the
-state basis.  ``merge_congruence`` is the textbook CRT merge that the
+The package cuts each factor's orbit table from one m-sequence of its
+associated primitive and reads states from it; these helpers reach
+the same states the slow way, by stepping a register or raising its
+companion matrix to a power, and find a joint state's cycle by
+decomposing it through the state basis.  ``merge_congruence`` is the textbook CRT merge that the
 package's shift rule (``cycles.shift_levels``) is checked against.
 """
 

@@ -10,7 +10,7 @@ from cyclejoin.adjacency import (
     represent_special_state,
 )
 from cyclejoin.gf2 import is_irreducible
-from cyclejoin.lfsr import state_to_str
+from cyclejoin.lfsr import Lfsr, state_to_str
 from cyclejoin.pipeline import FactoredLfsr
 from field_oracle import CyclotomicParams, FieldContext, cyclotomic_number
 from state_oracle import advance, locate_state, step
@@ -58,7 +58,7 @@ def test_special_state_zero_block_is_reported():
 
 def _local_oracle(factor, j, k, c, d):
     """All (u, w) with T^u a_j + T^w a_k = T^c a_d, by full double scan."""
-    reg = factor.lfsr
+    reg = Lfsr(factor.poly)
     target = advance(reg, factor.states[d], c)
     out = []
     for u in range(factor.order):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -8,7 +9,7 @@ import time
 import pytest
 
 from cyclejoin.adjacency import AdjacencyGraph
-from cyclejoin.cli import main
+from cyclejoin.cli import build_parser, main
 from cyclejoin.joining import verify_de_bruijn
 from cyclejoin.lfsr import state_to_str
 from cyclejoin.pipeline import FactoredLfsr
@@ -18,6 +19,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_every_option_has_help_text():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [
+        f"{name} {action.dest}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if not action.help
+    ]
+    assert len(commands.choices) == 5
+    assert missing == []
 
 
 def test_count_n7_reference_text(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from math import gcd, lcm
 
@@ -13,7 +12,7 @@ from cyclejoin.cycles import (
     states_per_factor,
 )
 from cyclejoin.gf2 import is_irreducible
-from cyclejoin.lfsr import state_to_str
+from cyclejoin.lfsr import Lfsr, state_to_str
 from cyclejoin.pipeline import FactoredLfsr
 from state_oracle import advance, locate_state, merge_congruence, step
 
@@ -65,7 +64,7 @@ def test_factor_locate():
     fd = states_per_factor(0b11111)
     for j, rep in enumerate(fd.states):
         assert fd.locate(rep) == (j, 0)
-        assert fd.locate(advance(fd.lfsr, rep, 3)) == (j, 3)
+        assert fd.locate(advance(Lfsr(fd.poly), rep, 3)) == (j, 3)
     with pytest.raises(ValueError):
         fd.locate(0)
 
@@ -77,11 +76,72 @@ def test_factor_locate_rejects_states_wider_than_the_factor():
             fd.locate(state)
 
 
-def test_orbit_walk_rejects_representatives_on_one_cycle():
-    fd = states_per_factor(0b11111)
-    bad = dataclasses.replace(fd, states=(fd.states[0],) * fd.t)
-    with pytest.raises(AssertionError, match="do not cover distinct cycles"):
-        bad.orbit(0)
+def test_orbit_walk_rejects_representatives_on_one_cycle(monkeypatch):
+    # p itself as its own "primitive": its m-sequence is one cycle of 5
+    # states, too short to hold the 15 nonzero states
+    monkeypatch.setattr("cyclejoin.cycles.find_associated_primitive", lambda p: p)
+    with pytest.raises(AssertionError, match="is not primitive"):
+        states_per_factor(0b11111)
+
+
+def _factor_oracle(p):
+    """states, orbits and positions of p, stepped and scanned with no package code.
+
+    The associated primitive q is taken from the package; everything
+    else comes from stepping registers: q's m-sequence from
+    (1, 0, ..., 0), the start whose t-decimation opens with
+    (1, 0, ..., 0) by trying every start, and p's orbits from the
+    decimations' first n bits.
+    """
+    q = states_per_factor(p).assoc_primitive
+    n = p.bit_length() - 1
+    size = (1 << n) - 1
+    reg_q, reg_p = Lfsr(q), Lfsr(p)
+    seq, seen, x = [], set(), 1
+    for _ in range(size):
+        seen.add(x)
+        seq.append(x & 1)
+        x = step(reg_q, x)
+    assert x == 1 and len(seen) == size
+    order, x = 1, step(reg_p, 1)
+    while x != 1:
+        order, x = order + 1, step(reg_p, x)
+    t = size // order
+    impulse = [1] + [0] * (n - 1)
+    starts = [
+        i for i in range(size) if [seq[(i + t * m) % size] for m in range(n)] == impulse
+    ]
+    assert len(starts) == 1
+    states, orbits = [], []
+    where = [-1] * (size + 1)
+    for j in range(t):
+        rep = sum(seq[(starts[0] + j + t * m) % size] << m for m in range(n))
+        orbit, x = [], rep
+        for k in range(order):
+            assert where[x] == -1
+            where[x] = j * order + k
+            orbit.append(x)
+            x = step(reg_p, x)
+        assert x == rep
+        states.append(rep)
+        orbits.append(orbit)
+    assert where.count(-1) == 1
+    return tuple(states), orbits, where
+
+
+def test_states_per_factor_matches_the_stepped_oracle_up_to_degree_10():
+    checked = 0
+    for n in range(1, 11):
+        for p in range((1 << n) | 1, 1 << (n + 1), 2):
+            if not is_irreducible(p):
+                continue
+            fd = states_per_factor(p)
+            states, orbits, where = _factor_oracle(p)
+            assert fd.states == states
+            assert [fd.orbit(j) for j in range(fd.t)] == orbits
+            assert fd.positions() == where
+            checked += 1
+    assert checked == 225
 
 
 def test_enumerate_cycles_n7_reference():

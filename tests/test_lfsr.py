@@ -3,14 +3,12 @@ from functools import reduce
 
 import pytest
 
-from cyclejoin.gf2 import is_primitive, poly_mul
+from cyclejoin.gf2 import poly_mul
 from cyclejoin.lfsr import (
     Lfsr,
     StateBasis,
     bits_to_state,
-    decimate,
     parse_state,
-    solve_initial_state,
     state_to_str,
 )
 from state_oracle import advance, state_to_bits, step
@@ -61,82 +59,6 @@ def test_advance_matches_stepping_across_threshold():
             assert advance(reg, s, k) == brute
     with pytest.raises(ValueError):
         advance(reg, 1, -1)
-
-
-def test_decimate_n7_reference():
-    m = [int(c) for c in M_SEQ_25]
-    assert decimate(m, 3, offset=0, count=4) == [1, 0, 0, 0]
-    assert decimate(m, 3, offset=1, count=4) == [0, 1, 1, 1]
-    assert decimate(m, 3, offset=2, count=4) == [0, 0, 1, 0]
-    assert decimate(m, 1) == m
-    with pytest.raises(ValueError):
-        decimate(m, 3, count=10)
-    with pytest.raises(ValueError):
-        decimate(m, 0)
-
-
-def test_solve_initial_state():
-    # t = 1: decimation is the identity, so the state is the impulse
-    assert solve_initial_state(0b10011, 1) == 1
-    assert solve_initial_state(0b111, 1) == 1
-    # q = x^4+x+1, t = 3: the 3-decimation must open with 1,0,0,0
-    s0 = solve_initial_state(0b10011, 3)
-    seq = Lfsr(0b10011).generate(s0, 12)
-    assert decimate(seq, 3, count=4) == [1, 0, 0, 0]
-    with pytest.raises(ValueError):
-        solve_initial_state(0b11111, 3)  # not primitive
-    with pytest.raises(ValueError):
-        solve_initial_state(0b10011, 4)  # 4 does not divide 15
-
-
-def _subfield_degree(n: int, t: int) -> int:
-    """Degree of alpha^t over GF(2), alpha primitive of degree n: the order of 2 mod (2^n-1)/t."""
-    e = ((1 << n) - 1) // t
-    d = 1
-    while e > 1 and pow(2, d, e) != 1:
-        d += 1
-    return d
-
-
-def _check_solve(q, t):
-    reg = Lfsr(q)
-    if _subfield_degree(reg.n, t) < reg.n:
-        # alpha^t lies in a proper subfield: its decimation has a shorter
-        # recurrence, so no state makes it open with (1, 0, ..., 0)
-        with pytest.raises(ValueError, match="proper subfield"):
-            solve_initial_state(q, t)
-        return
-    s0 = solve_initial_state(q, t)
-    seq = reg.generate(s0, t * reg.n)
-    assert decimate(seq, t, count=reg.n) == [1] + [0] * (reg.n - 1)
-
-
-@pytest.mark.parametrize(
-    "q,t",
-    [
-        (0b100101, 1),
-        (0b1000011, 3),
-        (0b1000011, 7),
-        (0b100000000101, 89),
-        (0b10011, 5),  # alpha^5 lies in GF(4)
-        (0b1000011, 9),  # alpha^9 lies in GF(8)
-    ],
-)
-def test_solve_initial_state_property(q, t):
-    _check_solve(q, t)
-
-
-def test_solve_initial_state_every_primitive_up_to_degree_8():
-    tried = 0
-    for n in range(1, 9):
-        for q in range(1 << n, 1 << (n + 1)):
-            if not is_primitive(q):
-                continue
-            for t in range(1, 1 << n):
-                if ((1 << n) - 1) % t == 0:
-                    _check_solve(q, t)
-                    tried += 1
-    assert tried > 100
 
 
 N7_FACTORS = [0b11, 0b111, 0b11111]

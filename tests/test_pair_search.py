@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from cyclejoin.adjacency import SPECIAL_STATE, build_graph
 from cyclejoin.gf2 import degree, is_irreducible
 from cyclejoin.joining import greedy_connected_subgraph
+from cyclejoin.lfsr import Lfsr
 from cyclejoin.pipeline import FactoredLfsr
 from state_oracle import advance
 
@@ -76,7 +77,7 @@ def reference_pairs(c1, c2, tables, factors, basis, rep):
     for i, f in enumerate(factors):
         if c1.flags[i]:
             base = f.states[c1.indices[i]]
-            side_states.append({u: advance(f.lfsr, base, u) for u, _ in options[i]})
+            side_states.append({u: advance(Lfsr(f.poly), base, u) for u, _ in options[i]})
         else:
             side_states.append(None)
     l1, l2 = c1.shifts, c2.shifts
@@ -177,10 +178,11 @@ def test_pair_search_matches_reference_on_drawn_instances(polys):
 def test_orbit_table_matches_advance(facs):
     inst = FactoredLfsr.from_strings(facs)
     for f in inst.factors:
+        reg = Lfsr(f.poly)
         for j, rep in enumerate(f.states):
             orbit = f.orbit(j)
             assert len(orbit) == f.order
-            assert all(orbit[k] == advance(f.lfsr, rep, k) for k in range(f.order))
+            assert all(orbit[k] == advance(reg, rep, k) for k in range(f.order))
             assert all(f.locate(x) == (j, k) for k, x in enumerate(orbit))
 
 
