@@ -412,10 +412,20 @@ class AdjacencyGraph:
         return nbrs, mults
 
     @cached_property
-    def walk_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per vertex, neighbours ascending and cumulative multiplicities, for the sampler."""
+    def walk_tables(self) -> tuple[list[list[int]], list[list[int]], list[int], list[int], int]:
+        """The sampler's tables, built once per graph.
+
+        Per vertex: its neighbours ascending, the cumulative
+        multiplicities of its edges, their total (its weighted degree)
+        and the index of its last neighbour.  Then the walk's root, the
+        vertex of largest weighted degree, lowest index on ties.
+        """
         nbrs, mults = self.neighbours
-        return nbrs, [list(accumulate(ms)) for ms in mults]
+        cum = [list(accumulate(ms)) for ms in mults]
+        totals = [c[-1] if c else 0 for c in cum]
+        lasts = [len(c) - 1 for c in cum]
+        root = max(range(self.num_vertices), key=totals.__getitem__)
+        return nbrs, cum, totals, lasts, root
 
     def is_connected(self) -> bool:
         """Whether every vertex is reachable from vertex 0; searched once per graph."""

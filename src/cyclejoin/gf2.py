@@ -168,6 +168,11 @@ def poly_order(p: int) -> int:
         raise ValueError(f"{format_poly(p)} is reducible; order is defined for irreducible polynomials")
     if not p & 1:
         raise ValueError("x has no multiplicative order")
+    return _order(p)
+
+
+def _order(p: int) -> int:
+    """poly_order for p already known irreducible, with constant term 1."""
     n = degree(p)
     e = (1 << n) - 1
     for q in prime_factors(e):
@@ -178,7 +183,7 @@ def poly_order(p: int) -> int:
 
 def is_primitive(p: int) -> bool:
     """True iff p is irreducible with a root of maximal order 2^deg - 1."""
-    return is_irreducible(p) and p & 1 and poly_order(p) == (1 << degree(p)) - 1
+    return is_irreducible(p) and p & 1 and _order(p) == (1 << degree(p)) - 1
 
 
 def _eval_poly(g: int, beta: int, m: int) -> int:
@@ -203,10 +208,10 @@ def find_associated_primitive(g: int) -> int:
     if t == 1:
         return g
     for q in range((1 << n) | 1, 1 << (n + 1), 2):
-        if not is_primitive(q):
-            continue
-        beta = poly_powmod(X, t, q)
-        if _eval_poly(g, beta, q) == 0:
-            # g is irreducible, so g(beta) == 0 makes g the minimal polynomial of beta
+        if not q.bit_count() & 1:
+            continue  # an even weight makes x + 1 divide q
+        # the cheap test first: for a primitive q, g(beta) == 0 makes g the
+        # minimal polynomial of beta, as g is irreducible
+        if _eval_poly(g, poly_powmod(X, t, q), q) == 0 and is_primitive(q):
             return q
     raise ArithmeticError(f"no associated primitive polynomial found for {format_poly(g)}")

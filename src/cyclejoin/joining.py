@@ -26,10 +26,13 @@ A joined sequence is the register's cycles spliced at the tree's
 conjugate pairs, so it is emitted as O(psi) slices of the cycle
 strings in the register's Lfsr.cycle_table, not by stepping the joined
 register bit by bit.  The table builds each cycle the first time one of
-its states is located and keeps it for later joins.  The de Bruijn
-check builds the 2^n cyclic window values a byte at a time (lfsr's
-_windows), out of one big integer with one byte per bit, and marks
-each in a table of 2^n bytes.
+its states is located and keeps it for later joins.  It also keeps the
+positions of each conjugate pair after the first join that uses it, as
+one int, so a repeat join finds its pairs by dict lookups instead of
+walks; that memory is one entry per distinct pair joined, at most
+2^(n-1).  The de Bruijn check builds the 2^n cyclic window values a
+byte at a time (lfsr's _windows), out of one big integer with one byte
+per bit, and marks each in a table of 2^n bytes.
 """
 
 import heapq
@@ -261,18 +264,16 @@ def random_spanning_tree(graph: AdjacencyGraph, seed) -> tuple[int, ...]:
         raise ValueError("graph is disconnected: no spanning tree exists")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     draw = rng.random
-    nbrs, cum = graph.walk_tables
+    nbrs, cum, totals, lasts, root = graph.walk_tables
     psi = graph.num_vertices
-    root = max(range(psi), key=lambda v: cum[v][-1] if cum[v] else 0)
     in_tree = bytearray(psi)
     in_tree[root] = 1
     exit_of = [0] * psi  # index into the vertex's tables of its last exit
     for start in range(psi):
         u = start
         while not in_tree[u]:
-            weights = cum[u]
             # as random.choices does: clamp a float that rounds up to the total
-            k = bisect_right(weights, draw() * weights[-1], 0, len(weights) - 1)
+            k = bisect_right(cum[u], draw() * totals[u], 0, lasts[u])
             exit_of[u] = k
             u = nbrs[u][k]
         u = start
@@ -352,23 +353,30 @@ def join_cycles(pairs, spec: Lfsr, init: int = 0) -> DeBruijnSequence:
 
     The output is cut from the register's cycle strings: the run
     follows a cycle up to its next pair state, then continues on the
-    cycle of that state's conjugate, one slice per visit.
+    cycle of that state's conjugate, one slice per visit.  The pair
+    states are found through CycleTable.locate_pairs, which keeps each
+    pair's positions for the register's later joins: one int per
+    distinct pair, at most 2^(n-1).
     """
     n = spec.n
-    suffixes = {v >> 1 for v in pairs}
-    if len(suffixes) != len(pairs):
+    if len({v >> 1 for v in pairs}) != len(pairs):
         raise AssertionError("conjugate pairs in a tree must have distinct suffixes")
     table = spec.cycle_table()
     cycles = table.cycles
-    # leaving a pair state lands on the successor of its conjugate
+    # A located end is c << n | k, the state at position k of cycle c.
+    # Leaving a pair state lands on the successor of its conjugate.
+    low = (1 << n) - 1
+    both = (1 << 2 * n) - 1
     jump = {}
-    for w in suffixes:
-        (a, i), (b, j) = table.locate(w << 1), table.locate(w << 1 | 1)
-        jump[a, i] = b, (j + 1) % len(cycles[b])
-        jump[b, j] = a, (i + 1) % len(cycles[a])
     stops = {}
-    for c, k in sorted(jump):
-        stops.setdefault(c, []).append(k)
+    for p in table.locate_pairs(pairs):
+        x, y = p >> 2 * n, p & both
+        jump[x] = y
+        jump[y] = x
+        stops.setdefault(x >> n, []).append(x & low)
+        stops.setdefault(y >> n, []).append(y & low)
+    for ks in stops.values():
+        ks.sort()
     size = 1 << n
     c, k = table.locate(init)
     out = []
@@ -379,11 +387,14 @@ def join_cycles(pairs, spec: Lfsr, init: int = 0) -> DeBruijnSequence:
             # no pair state on the start cycle: the run never leaves it
             out.append((cyc[k:] + cyc[:k]) * -(-size // len(cyc)))
             break
+        # k is len(cyc) just past a stop that ends the cycle: the slice from
+        # it is empty and the first stop comes next
         q = ks[bisect_left(ks, k) % len(ks)]
         seg = cyc[k : q + 1] if k <= q else cyc[k:] + cyc[: q + 1]
         out.append(seg)
         total += len(seg)
-        c, k = jump[c, q]
+        e = jump[c << n | q]
+        c, k = e >> n, (e & low) + 1
     return DeBruijnSequence("".join(out)[:size], n, tuple(pairs), init)
 
 

@@ -156,6 +156,13 @@ class CycleTable:
     The period is the first return of the first window (str.find), and
     the landmarks come from _windows.
 
+    A cycle never moves once built, so locate_pairs keeps the positions
+    of each conjugate pair it locates, as one int, for the table's
+    lifetime: a join repeats no walk for a pair an earlier join used.
+    That is one entry per distinct pair state asked for: at most 2^(n-1)
+    when each pair is always named by the same state, as a graph's
+    bundles name it.
+
     _STEP_CAP sits where the two paths cost the same.  Built both ways
     (CPython 3.11, x86-64), a cycle of 127 states took 41 us stepped and
     48 us extended, one of 217 states 69 us both ways, and one of 341
@@ -168,6 +175,7 @@ class CycleTable:
         self.cycles = []
         self._marks = {}  # landmark state -> (cycle, position)
         self._walk = [0] * self._gap  # the states of locate's last walk
+        self._pairs = {}  # pair state v -> the packed positions of v and v ^ 1
         self._squares = [poly_mod(X, reg.poly)]  # x^(2^t) mod f, grown on use
 
     def locate(self, state: int) -> tuple[int, int]:
@@ -183,6 +191,25 @@ class CycleTable:
             walk[steps] = s
             s = (s >> 1) | ((s & taps).bit_count() & 1) << top
         return self._build(s), 0
+
+    def locate_pairs(self, pairs) -> list[int]:
+        """For each pair state v, where v and its conjugate v ^ 1 sit, as one int.
+
+        With v at position i of cycle a and v ^ 1 at position j of cycle
+        b, the int is (a << n | i) << 2n | b << n | j.  A pair is located
+        on the first call that asks for it and remembered after, keyed by
+        v itself, so a key shares the int that the caller's tree holds.
+        """
+        known, n = self._pairs, self.n
+        out = []
+        for v in pairs:
+            p = known.get(v)
+            if p is None:
+                a, i = self.locate(v)
+                b, j = self.locate(v ^ 1)
+                p = known[v] = (a << n | i) << 2 * n | b << n | j
+            out.append(p)
+        return out
 
     def _build(self, s: int) -> int:
         """Build the cycle read from the walk's first state and return its number.

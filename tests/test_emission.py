@@ -23,7 +23,7 @@ from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree, verify
 from cyclejoin.lfsr import Lfsr, state_to_str
 from cyclejoin.pipeline import FactoredLfsr
 from state_oracle import step
-from test_pair_search import GOLDEN
+from test_pair_search import GOLDEN, factor_sets
 
 
 def reference_join(pairs, spec: Lfsr, init: int = 0) -> str:
@@ -195,6 +195,78 @@ def test_join_rejects_start_state_wider_than_register():
     reg = Lfsr(0b1011)
     with pytest.raises(ValueError):
         join_cycles((), reg, init=1 << 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_sets(), st.data())
+def test_joins_on_one_shared_table_match_joins_on_fresh_tables(polys, data):
+    # One table serves every join, as in generate and sample, so later joins
+    # read the pair positions that earlier ones kept.  A prefix of each tree
+    # comes first: it builds only some cycles, and the tree after it then
+    # finds pairs whose cycles were not yet built.  Starts include pair
+    # states and states on cycles no pair touches.
+    inst = FactoredLfsr(polys)
+    graph = inst.graph()
+    trees = list(g_trees(graph, limit=3))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    trees += [random_spanning_tree(graph, rng) for _ in range(3)]
+    shared = Lfsr(inst.poly)
+    for tree in trees:
+        cut = data.draw(st.integers(0, len(tree)))
+        for pairs in (tree[:cut], tree):
+            pair_states = [v ^ b for v in pairs for b in (0, 1)]
+            init = data.draw(st.sampled_from(pair_states + [0, rng.randrange(1 << inst.n)]))
+            fresh = join_cycles(pairs, Lfsr(inst.poly), init)
+            assert join_cycles(pairs, shared, init) == fresh
+
+
+def test_a_repeated_join_walks_no_locate_step(monkeypatch):
+    # A locate that walks no step looks up one landmark, the state itself;
+    # each step it walks costs one lookup more.
+    class CountingMarks(dict):
+        lookups = 0
+
+        def __contains__(self, state):
+            CountingMarks.lookups += 1
+            return super().__contains__(state)
+
+    calls = []
+    real_locate = lfsr.CycleTable.locate
+
+    def locate(self, state):
+        calls.append(state)
+        return real_locate(self, state)
+
+    inst = FactoredLfsr.from_strings("11,1011110010111")
+    tree = random_spanning_tree(inst.graph(), 1)
+    monkeypatch.setattr(lfsr.CycleTable, "locate", locate)
+    table = inst.lfsr.cycle_table()
+    table._marks = CountingMarks()
+    first = join_cycles(tree, inst.lfsr)
+    assert len(calls) == 2 * len(tree) + 1 and CountingMarks.lookups > len(calls)
+    del calls[:]
+    CountingMarks.lookups = 0
+    assert join_cycles(tree, inst.lfsr) == first
+    assert calls == [0] and CountingMarks.lookups == 1
+
+
+def test_kept_pair_positions_memory():
+    # 100 sampled trees at psi=236 ask for about 4,000 distinct pairs, kept
+    # as one int each under the tree's own pair state: about 0.3 MiB, where
+    # two tuples per pair would take about 0.9 MiB
+    inst = FactoredLfsr.from_strings("11,1011110010111")
+    graph = inst.graph()
+    rng = random.Random(1)
+    trees = [random_spanning_tree(graph, rng) for _ in range(100)]
+    join_cycles(next(g_trees(graph, limit=1)), inst.lfsr)  # builds every cycle
+    tracemalloc.start()
+    try:
+        for tree in trees:
+            join_cycles(tree, inst.lfsr)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 600 * 1024
 
 
 # ---- the window check -------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -162,6 +164,65 @@ def test_find_associated_primitive_minimal_polynomial_property():
             assert is_primitive(q) and degree(q) == d
             beta = poly_powmod(X, t, q)
             assert _minimal_polynomial(beta, q) == g
+
+
+def _times_x(a, q, d):
+    """a * x modulo q, for a of degree below d = deg q."""
+    a <<= 1
+    return a ^ q if a >> d else a
+
+
+def _powers_of_x(q, d):
+    """x^0, x^1, ... mod q, for q with constant term 1, up to the first return to 1."""
+    powers = [1]
+    a = _times_x(1, q, d)
+    while a != 1:
+        powers.append(a)
+        a = _times_x(a, q, d)
+    return powers
+
+
+def _brute_irreducible(p, d):
+    """No factor of degree 1 to d // 2, by long division bit by bit."""
+    for f in range(2, 1 << (d // 2 + 1)):
+        r, fd = p, f.bit_length() - 1
+        while r.bit_length() - 1 >= fd:
+            r ^= f << (r.bit_length() - 1 - fd)
+        if r == 0:
+            return False
+    return True
+
+
+def test_find_associated_primitive_matches_brute_force_up_to_degree_9():
+    # The oracle shares no code with gf2: the orbit of x modulo each q,
+    # found by shifts, says whether q is primitive (its length is 2^d - 1)
+    # and gives x^k for every k, so g(x^t) = sum of x^(i t) over g's terms.
+    # The first q in ascending order that is primitive with g(x^t) = 0 is
+    # the associate; a primitive g is its own.
+    checked = 0
+    for d in range(1, 10):
+        period = (1 << d) - 1
+        primitive = []  # (q, its powers of x), ascending
+        for q in range(1 << d | 1, 1 << (d + 1), 2):
+            powers = _powers_of_x(q, d)
+            if len(powers) == period:
+                primitive.append((q, powers))
+        for g in range(1 << d | 1, 1 << (d + 1), 2):
+            if not _brute_irreducible(g, d):
+                continue
+            t = period // len(_powers_of_x(g, d))
+            want = next(
+                q
+                for q, powers in primitive
+                if not functools.reduce(
+                    operator.xor, (powers[i * t % period] for i in range(d + 1) if g >> i & 1)
+                )
+            )
+            if t == 1:
+                assert want == g
+            assert find_associated_primitive(g) == want
+            checked += 1
+    assert checked == 126  # the irreducibles of degree 1 to 9 with constant term 1
 
 
 def test_field_context_zech_examples():

@@ -268,7 +268,7 @@ def test_random_spanning_tree_deterministic_and_valid():
 def test_sampler_walk_tables_are_built_once_in_edge_order():
     # seeded draws index these lists, so their order fixes every sampled tree
     g = FactoredLfsr.from_strings(ROW3).graph()
-    nbrs, cum = g.walk_tables
+    nbrs, cum, totals, lasts, root = g.walk_tables
     want_nbrs = [[] for _ in range(g.num_vertices)]
     want_weights = [[] for _ in range(g.num_vertices)]
     for (a, b), pairs in g.edges.items():
@@ -280,6 +280,10 @@ def test_sampler_walk_tables_are_built_once_in_edge_order():
     assert [[hi - lo for lo, hi in zip([0] + c, c)] for c in cum] == want_weights
     for v in range(g.num_vertices):
         assert want_weights[v] == [g.multiplicity(v, u) for u in nbrs[v]]
+    assert totals == list(map(sum, want_weights))
+    assert lasts == [len(w) - 1 for w in want_weights]
+    # the heaviest vertex, the first of them on ties
+    assert root == totals.index(max(totals))
     assert g.walk_tables is g.walk_tables
 
 
