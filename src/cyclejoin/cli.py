@@ -79,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--partial",
         action="store_true",
         help="skip the full graph: print one sequence, from one greedy spanning "
-        "structure (so no --tree-index; --max-order then caps the largest "
-        "factor degree, not the total)",
+        "structure (so no --tree-index)",
     )
 
     p = sub.add_parser("sample", help="emit sequences from uniformly random trees")
@@ -98,22 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _instance(args) -> FactoredLfsr:
     polys = parse_factors(args.factors)
-    cap = getattr(args, "max_order", DEFAULT_MAX_ORDER)
-    # checked before building: the per-factor tables alone cost 2^{n_i} each
-    if getattr(args, "partial", False):
-        top = max(map(degree, polys), default=0)
-        if top > cap:
-            raise ValueError(
-                f"factor degree {top} exceeds the safety cap {cap} "
-                "(--partial caps the largest factor); raise --max-order"
-            )
-    else:
-        n = sum(map(degree, polys))
-        if n > cap:
-            raise ValueError(
-                f"total degree {n} exceeds the safety cap {cap}; raise --max-order "
-                "or use generate --partial"
-            )
+    # checked before building: the per-factor tables alone cost 2^{n_i}
+    # each, and a sequence is 2^n bits
+    n = sum(map(degree, polys))
+    if n > args.max_order:
+        raise ValueError(
+            f"total degree {n} exceeds the safety cap {args.max_order}; raise --max-order"
+        )
     return FactoredLfsr(polys)
 
 

@@ -22,8 +22,8 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd, prod
 
-from .gf2 import degree, find_associated_primitive, format_poly, is_irreducible, poly_order
-from .lfsr import _BIT_VALUES, Lfsr, StateBasis, _windows
+from .gf2 import _order, degree, find_associated_primitive, format_poly, is_irreducible
+from .lfsr import Lfsr, StateBasis, cyclic_windows
 
 __all__ = [
     "FactorData",
@@ -94,7 +94,7 @@ def states_per_factor(p: int) -> FactorData:
     if not p & 1:
         raise ValueError("factor x is not allowed: the register would be singular")
     n = degree(p)
-    e = poly_order(p)
+    e = _order(p)
     size = (1 << n) - 1
     t = size // e
     q = p if t == 1 else find_associated_primitive(p)
@@ -117,7 +117,7 @@ def states_per_factor(p: int) -> FactorData:
     where = [-1] * (size + 1)
     for j in range(t):
         d = seq[j::t]
-        orbit = _windows((d + d[: n - 1]).encode("ascii").translate(_BIT_VALUES), n).tolist()
+        orbit = cyclic_windows(d.encode("ascii"), n).tolist()
         for pos, x in enumerate(orbit, j * e):
             where[x] = pos
         orbits.append(orbit)
@@ -170,11 +170,6 @@ class CycleSet:
 
     cycles: tuple[CycleDescriptor, ...]
     special_index: int | None = None
-    _lookup: dict = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._lookup is None:
-            self._lookup = {c: i for i, c in enumerate(self.cycles)}
 
     def __len__(self):
         return len(self.cycles)
@@ -186,7 +181,7 @@ class CycleSet:
         return self.cycles[i]
 
     def index_of(self, c: CycleDescriptor) -> int:
-        return self._lookup[c]
+        return self.cycles.index(c)
 
 
 def shift_levels(flags, orders) -> list[tuple[int, int, int, int]]:

@@ -31,8 +31,8 @@ positions of each conjugate pair after the first join that uses it, as
 one int, so a repeat join finds its pairs by dict lookups instead of
 walks; that memory is one entry per distinct pair joined, at most
 2^(n-1).  The de Bruijn check builds the 2^n cyclic window values a
-byte at a time (lfsr's _windows), out of one big integer with one byte
-per bit, and marks each in a table of 2^n bytes.
+byte at a time (lfsr's cyclic_windows), out of one big integer with one
+byte per bit, and marks each in a table of 2^n bytes.
 """
 
 import heapq
@@ -45,7 +45,7 @@ from operator import getitem
 
 from .adjacency import AdjacencyGraph, PairSearch, best_count
 from .cycles import CycleSet
-from .lfsr import _BIT_VALUES, Lfsr, _windows, state_to_str
+from .lfsr import Lfsr, cyclic_windows, state_to_str
 
 __all__ = [
     "spanning_trees",
@@ -440,44 +440,31 @@ def feedback_function(pairs, spec: Lfsr) -> FeedbackFunction:
     return FeedbackFunction(spec.poly, spec.n, suffixes)
 
 
-def verify_de_bruijn(seq, n: int) -> bool:
+def verify_de_bruijn(seq: str, n: int) -> bool:
     """True iff the cyclic sequence contains every n-bit window exactly once.
 
-    `seq` is a string of 0s and 1s or an iterable of 0/1 values.  The
-    2^n cyclic window values come from _windows; each marks its slot in
-    a table of 2^n bytes, and the sequence is de Bruijn iff no slot is
-    left unmarked.
+    `seq` is a str of 0s and 1s: any other type raises TypeError, and a
+    str with another character, or of a length other than 2^n, raises
+    ValueError.  The 2^n cyclic window values come from
+    lfsr.cyclic_windows; each marks its slot in a table of 2^n bytes,
+    and the sequence is de Bruijn iff no slot is left unmarked.
     """
+    if not isinstance(seq, str):
+        raise TypeError(f"sequence must be a str, not {type(seq).__name__}")
     if n < 1:
         raise ValueError(f"order {n} is below 1")
-    if isinstance(seq, str):
-        _check_length(len(seq), n)
-        # a non-ASCII character becomes "?", which the binary check rejects
-        data = seq.encode("ascii", "replace")
-        if data.translate(None, b"01"):
-            raise ValueError("sequence must be binary")
-        data = data.translate(_BIT_VALUES)
-    else:
-        bits = list(seq)
-        _check_length(len(bits), n)
-        try:
-            data = bytes(bits)
-        except (TypeError, ValueError):
-            raise ValueError("sequence must be binary") from None
-        if data.translate(None, b"\0\1"):
-            raise ValueError("sequence must be binary")
-    data += data[: n - 1]
-    values = _windows(data, n)
+    length = len(seq)
+    # bit lengths first, so a huge n never builds 1 << n
+    if length.bit_length() != n + 1 or length != 1 << n:
+        raise ValueError(f"sequence length {length} is not 2^{n}")
+    # a non-ASCII character becomes "?", which the binary check rejects
+    data = seq.encode("ascii", "replace")
+    if data.translate(None, b"01"):
+        raise ValueError("sequence must be binary")
     # The mark is the permutation test: there are exactly 2^n values, all
     # below 2^n, so every slot is marked iff they are distinct.  It holds
     # one byte per value where a set would hold an int object.
     mark = bytearray(1 << n)
-    for v in values:
+    for v in cyclic_windows(data, n):
         mark[v] = 1
     return 0 not in mark
-
-
-def _check_length(length: int, n: int) -> None:
-    # bit lengths first, so a huge n never builds 1 << n
-    if length.bit_length() != n + 1 or length != 1 << n:
-        raise ValueError(f"sequence length {length} is not 2^{n}")

@@ -23,6 +23,7 @@ __all__ = [
     "Lfsr",
     "CycleTable",
     "StateBasis",
+    "cyclic_windows",
     "bits_to_state",
     "state_to_str",
     "parse_state",
@@ -101,9 +102,8 @@ class Lfsr:
     def __repr__(self):
         return f"Lfsr({format_poly(self.poly)})"
 
-    def generate(self, init, length: int) -> list[int]:
-        """First `length` output bits from the given initial state."""
-        state = init if isinstance(init, int) else bits_to_state(init)
+    def generate(self, state: int, length: int) -> list[int]:
+        """First `length` output bits from the initial state int (s_i in bit i)."""
         if state >> self.n:
             raise ValueError(f"initial state does not fit in {self.n} stages")
         out = []
@@ -154,7 +154,7 @@ class CycleTable:
     D - n + 1 bits after them, so the length about doubles each pass
     (while no such D exists, D = n and r is the taps, one bit a pass).
     The period is the first return of the first window (str.find), and
-    the landmarks come from _windows.
+    the landmarks come from cyclic_windows.
 
     A cycle never moves once built, so locate_pairs keeps the positions
     of each conjugate pair it locates, as one int, for the table's
@@ -274,8 +274,8 @@ class CycleTable:
             if period >= 0:
                 break
             seek = m - n + 1
-        data = text[: period + n - 1].encode("ascii").translate(_BIT_VALUES)
-        return text[:period], _windows(data, n)[:: self._gap]
+        text = text[:period]
+        return text, cyclic_windows(text.encode("ascii"), n)[:: self._gap]
 
 
 def _low_bits(order: array) -> str:
@@ -283,23 +283,28 @@ def _low_bits(order: array) -> str:
     return order.tobytes()[_LOW :: order.itemsize].translate(_LOW_BIT).decode()
 
 
-def _windows(data: bytes, n: int) -> array:
-    """The values of the len(data) - n + 1 windows of a non-cyclic bit string.
+def cyclic_windows(bits: bytes, n: int) -> array:
+    """The values of the len(bits) n-bit windows of a cyclic bit string.
 
-    `data` holds one bit per byte, len(data) >= n, and the window at i
-    has data[i + j] as its bit j.  Byte b of that value is itself a
-    window: 8 bits at i + 8b, or the n % 8 bits left for the top byte.
-    Both widths come from one integer with one byte per bit: shifting
-    it down by k bytes and up by k bits and adding turns width-k
-    windows into width-2k ones, so width 8 takes three passes and the
-    set bits of n % 8 are summed on the way.  Strided slice assignment
-    then interleaves the bytes into slots of 1, 2, 4 or 8 bytes, handed
-    back as an array: iterating one is faster than a memoryview cast.
+    `bits` is ASCII 0s and 1s (b"0110..."), at least one, and the window
+    at i has bits[(i + j) % len(bits)] as its bit j.  The string becomes
+    one bit per byte, with the first n - 1 bits of its cyclic reading
+    appended so that no window wraps.  Byte b of a window's value is
+    itself a window: 8 bits at i + 8b, or the n % 8 bits left for the
+    top byte.  Both widths come from one integer with one byte per bit:
+    shifting it down by k bytes and up by k bits and adding turns
+    width-k windows into width-2k ones, so width 8 takes three passes
+    and the set bits of n % 8 are summed on the way.  Strided slice
+    assignment then interleaves the bytes into slots of 1, 2, 4 or 8
+    bytes, handed back as an array: iterating one is faster than a
+    memoryview cast.
     """
-    length = len(data)
-    count = length - n + 1
+    count = len(bits)
+    length = count + n - 1
     full, rest = divmod(n, 8)
-    w = int.from_bytes(data, "little")  # windows of width k = 1
+    # a string shorter than n - 1 bits goes round more than once
+    head = (bits * -(-(n - 1) // count))[: n - 1]
+    w = int.from_bytes((bits + head).translate(_BIT_VALUES), "little")  # windows of width k = 1
     top = done = 0  # windows of width `done`, the set bits of rest below k
     k = 1
     while True:

@@ -249,11 +249,28 @@ def test_safety_cap_checked_before_building(capsys):
     assert time.perf_counter() - start < 0.5
 
 
-def test_partial_bypasses_cap(capsys):
-    code, out, _ = run(
+def test_partial_obeys_the_total_degree_cap(capsys):
+    code, out, err = run(
         capsys, "generate", "--factors", "11,111,11111", "--partial", "--max-order", "6"
     )
-    assert code == 0
+    assert code == 2 and out == ""
+    assert "total degree 7 exceeds the safety cap 6" in err
+    code, out, _ = run(
+        capsys, "generate", "--factors", "11,111,11111", "--partial", "--max-order", "7"
+    )
+    assert code == 0 and len(out) == 129
+
+
+def test_partial_rejects_a_long_line_before_building(capsys, monkeypatch):
+    # n = 31 from two factors under the cap: the join would grow a 2^31-bit line
+    from cyclejoin import cli
+
+    monkeypatch.setattr(cli, "FactoredLfsr", lambda polys: pytest.fail("built the register"))
+    code, out, err = run(
+        capsys, "generate", "--partial", "--factors", "1000000000000011,10000000000101101"
+    )
+    assert code == 2 and out == ""
+    assert "total degree 31 exceeds the safety cap 24" in err
 
 
 def test_pipeline_validation_messages():
@@ -353,14 +370,14 @@ def test_analyze_reports_connectivity(capsys):
     assert json.loads(out)["connected"] is True
 
 
-def test_partial_caps_largest_factor_before_building(capsys):
+def test_partial_caps_total_degree_before_building(capsys):
     # one degree-25 factor: its per-factor tables alone would hold 2^25 entries
     start = time.perf_counter()
     code, out, err = run(
         capsys, "generate", "--factors", "11,10000000000000000000001001", "--partial"
     )
     assert code == 2 and out == ""
-    assert "factor degree 25 exceeds the safety cap 24" in err and "--max-order" in err
+    assert "total degree 26 exceeds the safety cap 24" in err and "--max-order" in err
     assert time.perf_counter() - start < 1.0
 
 

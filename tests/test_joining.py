@@ -431,11 +431,11 @@ def test_greedy_tree_spans_and_joins():
 def test_verify_de_bruijn_basics():
     assert verify_de_bruijn("00010111", 3)
     assert not verify_de_bruijn("00000000", 3)
-    assert verify_de_bruijn([0, 1], 1)
+    assert verify_de_bruijn("01", 1)
     with pytest.raises(ValueError):
         verify_de_bruijn("0101", 3)
     with pytest.raises(ValueError):
-        verify_de_bruijn([0, 2, 1, 1], 2)
+        verify_de_bruijn("0211", 2)
 
 
 def test_packed_hex():

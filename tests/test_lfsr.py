@@ -18,13 +18,13 @@ M_SEQ_25 = "1000100110101111000100110"
 
 def test_generate_m_sequence():
     reg = Lfsr(0b10011)
-    out = reg.generate((1, 0, 0, 0), 25)
+    out = reg.generate(1, 25)
     assert "".join(map(str, out)) == M_SEQ_25
 
 
 def test_generate_degenerate_inputs():
     assert Lfsr(0b10011).generate(0, 10) == [0] * 10
-    assert Lfsr(0b11).generate((1,), 4) == [1, 1, 1, 1]
+    assert Lfsr(0b11).generate(1, 4) == [1, 1, 1, 1]
     with pytest.raises(ValueError):
         Lfsr(0b10011).generate(1 << 4, 1)
 
