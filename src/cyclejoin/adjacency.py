@@ -8,21 +8,30 @@ cycles as vertices with one edge per shared pair.  Joining along a
 spanning tree of G produces a de Bruijn sequence, so counting the
 sequences constructible from the register is counting spanning trees
 (the BEST theorem: any cofactor of the degree-minus-adjacency matrix).
-The cofactor is an exact multimodular determinant of the minor, read
-sparsely off the graph's neighbour table (per row, parallel column and
-value lists): one symmetric elimination per word-sized prime, each row
+The register has an automorphism Φ = g(T)∘D, D the decimation
+s_k -> s_2k (``_frobenius``): it fixes the zero cycle and S, so it maps
+conjugate pairs to conjugate pairs and keeps every multiplicity.  For
+one factor this is the identity (i, j) = (2i, 2j) of cyclotomic
+numbers.  The graph build counts one cycle pair per Φ-orbit and files
+that count for the rest of the orbit.
+
+The cofactor is exact, from the minor read sparsely off the graph's
+neighbour table.  The minor commutes with Φ's permutation of the
+vertices, so it splits into one block per eigenvalue λ of that
+permutation, and the blocks of the λ of one order d multiply to an
+integer Z_d.  Z_1 and Z_2 (λ = 1, -1) are integer symmetric
+determinants: one symmetric elimination per word-sized prime, each row
 packed into one integer, and CRT up to a bound on the count.  Before
-the primes, a maximal independent set of the minor (a diagonal block)
+the primes, a maximal independent set of the matrix (a diagonal block)
 is eliminated once, exactly over the integers: its Schur complement,
 scaled by the lcm of that diagonal, is an integer matrix, and each
 prime eliminates only it.  Its dense rows are split once into rows of
 signed digits, from which every prime packs its rows by one
 expression; past three digits the primes come from a lower limit, so
-the slots still cannot carry.  No edge joins two cycles of one
-activity class unless every component is active, and cycles are listed
-by class, so unless the minor's first class is the all-active one the
-greedy set holds all of it: on dense-count (``11,1011110010111``) 117
-of the 235 rows, which halves the rows each prime eliminates.
+the slots still cannot carry.  Each Z_d with d >= 3 is a square, taken
+by a plain elimination modulo primes that hold the d-th roots of unity.
+On dense-count (``11,1011110010111``) the 235 rows of the minor become
+blocks of 25, 22, 20, 18, 20 and 18 rows for d = 1, 2, 3, 4, 6 and 12.
 
 The pair search is factored: S decomposes into per-factor blocks
 T^{c_i} a_{d_i}, each factor gets a table of local shift pairs whose
@@ -72,14 +81,21 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, product
-from math import lcm
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from itertools import accumulate, chain, count, product, tee
+from math import gcd, lcm
 from operator import mul
 
-from .cycles import CycleDescriptor, CycleSet, canonical_shifts, shift_levels
-from .lfsr import StateBasis
+from .cycles import (
+    CycleDescriptor,
+    CycleSet,
+    canonical_shifts,
+    representative_state,
+    shift_levels,
+)
+from .gf2 import poly_mod, poly_mul, poly_mulmod, prime_factors
+from .lfsr import StateBasis, _gf2_invert, _vec_mat
 
 __all__ = [
     "SpecialStateRep",
@@ -379,10 +395,14 @@ class AdjacencyGraph:
     condensed view keeps one edge per adjacent pair of vertices
     (multiplicity folded to 1).  The connectivity check, the tree search,
     the sampler and the cofactor read one table, ``neighbours``.
+    ``_phi`` is a permutation of the vertices that fixes vertex 0 and
+    keeps every multiplicity, which the cofactor splits by; a built graph
+    holds the register's Φ there, a hand-built one none.
     """
 
     num_vertices: int
     edges: Mapping[tuple[int, int], tuple[int, ...]]
+    _phi: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def multiplicities(self) -> dict[tuple[int, int], int]:
@@ -446,26 +466,86 @@ class AdjacencyGraph:
         return len(seen) == self.num_vertices
 
 
+def _frobenius(cycles: CycleSet, factors, basis: StateBasis) -> tuple[int, ...]:
+    """The register's automorphism Φ = g(T)∘D as a permutation of cycle indices.
+
+    D is the decimation s_k -> s_2k.  Each factor's roots are closed
+    under squaring, so D maps register sequences to register sequences,
+    cycles onto cycles (D T^2 = T D, and periods are odd).  Output k of
+    the sequence from state v is the parity of v & (x^k mod f), so D(v)
+    has bit k the parity of v & (x^2k mod f).  D(S) has every component
+    nonzero, so its minimal polynomial is f and T^k D(S), k < n, are
+    independent: one c solves sum c_k T^k D(S) = S, and g(x) = sum c_k x^k.
+    Then Φ(v) has bit i the parity of v & (g x^i mod f)(x^2), which is
+    g^2 x^2i mod f.  Φ is linear, maps cycles onto cycles and fixes S, so
+    it maps each conjugate pair (v, v + S) to one, and keeps every
+    multiplicity.  π[i] is the cycle of Φ(representative_state(i)),
+    located through the basis and the factors' orbit tables; no state
+    is stepped.
+    """
+    n = basis.n
+    f = reduce(poly_mul, basis.polys)
+    x2 = poly_mod(0b100, f)
+    powers = [1]  # x^2m mod f
+    for _ in range(2 * n - 2):
+        powers.append(poly_mulmod(powers[-1], x2, f))
+    # output m of D(S) is output 2m of S, bit 0 of x^2m mod f
+    out = sum((x & 1) << m for m, x in enumerate(powers))
+    mask = (1 << n) - 1
+    g = _gf2_invert([out >> k & mask for k in range(n)], n)[0]
+    cols = [poly_mulmod(g, g, f)]
+    for _ in range(n - 1):
+        cols.append(poly_mulmod(cols[-1], x2, f))
+    rows = [sum((c >> j & 1) << i for i, c in enumerate(cols)) for j in range(n)]
+    orders = [fac.order for fac in factors]
+    index = {(c.flags, c.indices, c.shifts): i for i, c in enumerate(cycles)}
+    pi = []
+    for c in cycles:
+        blocks = basis.decompose(_vec_mat(representative_state(c, basis, factors), rows))
+        flags, ids, shifts = [], [], []
+        for blk, fac in zip(blocks, factors):
+            j, l = fac.locate(blk) if blk else (0, 0)
+            flags.append(1 if blk else 0)
+            ids.append(j)
+            shifts.append(l)
+        flags = tuple(flags)
+        pi.append(index[flags, tuple(ids), canonical_shifts(flags, shifts, orders)])
+    return tuple(pi)
+
+
 def build_graph(cycles: CycleSet, tables, factors, basis, rep) -> AdjacencyGraph:
     """The full adjacency graph: every cycle pair's multiplicity, pairs on demand.
 
     One PairSearch serves the count and every later bundle lookup: only
     the candidate partners of each cycle are searched, and the search
-    counts the tuples at its last level instead of listing them.  The
-    edges keep the order of a scan over (i, j), i < j; a bundle's pairs
-    are found by the same search the first time its edge is read.
+    counts the tuples at its last level instead of listing them.  Φ
+    (``_frobenius``) keeps every multiplicity, so a cycle pair is counted
+    only if no earlier pair of its Φ-orbit was; that count is filed for
+    the rest of the orbit, and read when the scan reaches each of them.
+    The edges keep the order of a scan over (i, j), i < j; a bundle's
+    pairs are found by the same search the first time its edge is read.
     Self-pairs are never looked at (the graph has no loops by
-    definition, and they are useless for joining).  ``rep`` is not read;
-    the tables already hold the special state's blocks.
+    definition, and they are useless for joining).  The graph keeps Φ's
+    permutation for the cofactor.  ``rep`` is not read; the tables
+    already hold the special state's blocks.
     """
     search = PairSearch(cycles, tables, factors, basis)
-    counts = {}
+    phi = _frobenius(cycles, factors, basis)
+    counts, filed = {}, {}
     for i, partners in enumerate(search.partners):
         for j in partners[bisect_right(partners, i) :]:
-            mult = search.count(i, j)
+            mult = filed.pop((i, j), None)
+            if mult is None:
+                mult = search.count(i, j)
+                a, b = phi[i], phi[j]
+                while a != i or b != j:
+                    filed[(a, b) if a < b else (b, a)] = mult
+                    a, b = phi[a], phi[b]
             if mult:
                 counts[(i, j)] = mult
-    return AdjacencyGraph(len(cycles), PairBundles(counts, search))
+    graph = AdjacencyGraph(len(cycles), PairBundles(counts, search))
+    graph._phi = phi
+    return graph
 
 
 def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
@@ -476,26 +556,170 @@ def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
     spanning-tree count of the condensed graph.  A disconnected graph
     has none.
 
-    The minor is read off the neighbour table, never formed densely:
+    The minor L is read off the neighbour table, never formed densely:
     vertex 0 is dropped, and each other vertex gives a diagonal entry,
     its weighted degree (for the condensed graph, its neighbour count),
-    and its row's off-diagonal nonzeros as two parallel lists, columns
-    and values, ascending.  For a connected graph the minor is symmetric
-    positive definite, and orienting each spanning tree toward vertex 0
-    gives every other vertex one parent edge among its incident edges,
-    so the count is at most the product of that diagonal.  ``_spd_det``
-    takes it from there.
+    and one entry per neighbour.  For a connected graph L is symmetric
+    positive definite.
+
+    L commutes with the graph's permutation π (``_phi``), which fixes
+    vertex 0, so it splits into one block per eigenvalue of π.  Write
+    π's orbits on the minor's vertices as r_a, π(r_a), ... with s_a
+    members and k for the lcm of the s_a.  For a k-th root of unity λ
+    the vectors sum_t λ^t e_π^t(r_a), over the orbits with λ^s_a = 1,
+    span an L-invariant subspace on which L acts as
+    M_λ[b][a] = sum_t λ^t L[r_b, π^t(r_a)], so det L = prod_λ det M_λ.
+    With S = diag(s_a), S M_λ is the Gram matrix of L on those vectors,
+    Hermitian positive definite.  The λ of one order d are Galois
+    conjugates, so Z_d = prod over them of det M_λ is a positive integer,
+    and the count is the product of Z_d over the orders d.  Z_1 and Z_2
+    (λ = 1, -1) are det(S M_λ) / det S, with S M_λ an integer symmetric
+    positive definite matrix: ``_spd_det`` takes it.  Each Z_d with
+    d >= 3 is taken modulo primes p = 1 (mod k) by ``_unity_det``.  A
+    graph without π has k = 1 and one block, L itself.
     """
     if not graph.is_connected():
         return 0
     nbrs, mults = graph.neighbours
-    diag, rows = [], []
-    for ns, ms in zip(nbrs[1:], mults[1:]):
-        cols = [u - 1 for u in ns if u]
-        vals = [-1] * len(cols) if condensed else [-m for u, m in zip(ns, ms) if u]
-        diag.append(len(ns) if condensed else sum(ms))
-        rows.append((cols, vals))
-    return _spd_det(diag, rows)
+    psi = graph.num_vertices
+    phi = graph._phi or range(psi)
+    orbit, pos, reps, sizes = [-1] * psi, [0] * psi, [], []
+    for v in range(1, psi):
+        if orbit[v] < 0:
+            u, t = v, 0
+            while orbit[u] < 0:
+                orbit[u], pos[u] = len(reps), t
+                u, t = phi[u], t + 1
+            reps.append(v)
+            sizes.append(t)
+    # row r_b of L as (a, t, value) for the entry at column π^t(r_a),
+    # the diagonal first
+    rows = []
+    for r in reps:
+        ns, ms = nbrs[r], mults[r]
+        row = [(orbit[r], 0, len(ns) if condensed else sum(ms))]
+        row += [(orbit[u], pos[u], -1 if condensed else -m) for u, m in zip(ns, ms) if u]
+        rows.append(row)
+    k = lcm(*sizes)
+    orders = sorted({d for s in sizes for d in range(1, s + 1) if s % d == 0})
+    # every d >= 3 reads one list of primes, found as the first d needs them
+    streams = iter(tee(_unity_primes(k), sum(d > 2 for d in orders)))
+    total = 1
+    for d in orders:
+        block = [a for a, s in enumerate(sizes) if s % d == 0]
+        if d <= 2:
+            total *= _real_det(rows, block, d, sizes)
+        else:
+            total *= _unity_det(rows, block, d, k, next(streams))
+    return total
+
+
+def _real_det(rows, block, d: int, sizes) -> int:
+    """Z_d for d = 1 or 2: det M_λ with λ = 1 or -1, the block of the orbits s_a divides.
+
+    S M_λ is read off ``best_count``'s rows as ``_spd_det`` reads a
+    matrix: row b scaled by s_b, symmetric, columns ascending.
+    """
+    at = {a: i for i, a in enumerate(block)}
+    diag, sparse = [], []
+    for a in block:
+        acc = {}
+        for b, t, v in rows[a]:
+            if b in at:
+                acc[at[b]] = acc.get(at[b], 0) + (-v if t % d else v)
+        s = sizes[a]
+        diag.append(s * acc.pop(at[a]))
+        cols = sorted(c for c, v in acc.items() if v)
+        sparse.append((cols, [s * acc[c] for c in cols]))
+    return _spd_det(diag, sparse) // math.prod(sizes[a] for a in block)
+
+
+def _unity_det(rows, block, d: int, k: int, primes) -> int:
+    """Z_d for d >= 3: the product of det M_λ over the λ of order d, the block of the orbits d divides.
+
+    Each entry of M_λ is a polynomial in λ modulo λ^d - 1, from
+    ``best_count``'s rows.  S M_λ and S M_1/λ are each other's
+    transposes, so λ and 1/λ give one determinant and Z_d = Y_d^2, with
+    Y_d the product over the λ = w^j, 0 < j < d/2, j prime to d, for one
+    λ = w of order d: a positive integer (the norm of det M_w from the
+    real subfield).  Hadamard's inequality for S M_λ gives
+    det M_λ <= prod_b M_λ[b][b], and |M_λ[b][b]| is at most L[r_b, r_b]
+    plus the |L[r_b, π^t(r_b)]|, t != 0; so Y_d is below that product
+    raised to the number of j.  ``primes`` yields primes p = 1 (mod k)
+    with a k-th root of unity z, so w = z^(k/d) mod p; each M_λ mod p is
+    eliminated plainly (``_det_mod``), and the residues of Y_d are
+    combined by CRT past the bound.
+    """
+    at = {a: i for i, a in enumerate(block)}
+    js = [j for j in range(1, (d + 1) // 2) if gcd(j, d) == 1]
+    coeffs, bound = [], 1
+    for a in block:
+        acc, top = {}, 0
+        for b, t, v in rows[a]:
+            if b == a:
+                top += abs(v)
+            if b in at:
+                key = (at[b], t % d)
+                acc[key] = acc.get(key, 0) + v
+        coeffs.append([(c, r, v) for (c, r), v in acc.items() if v])
+        bound *= top
+    bound **= len(js)
+    m = len(block)
+    x, modulus = 0, 1
+    while modulus <= bound:
+        p, z = next(primes)
+        w = pow(z, k // d, p)
+        det = 1
+        for j in js:
+            lam = pow(w, j, p)
+            powers = [pow(lam, r, p) for r in range(d)]
+            mat = []
+            for entries in coeffs:
+                row = [0] * m
+                for c, r, v in entries:
+                    row[c] += v * powers[r]
+                mat.append([y % p for y in row])
+            det = det * _det_mod(mat, p) % p
+        x += modulus * ((det - x) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return x * x
+
+
+def _det_mod(rows: list[list[int]], p: int) -> int:
+    """Determinant mod p of a square matrix of residues, by elimination with row pivoting.
+
+    A pivot column with no nonzero entry gives 0: p divides the
+    determinant.
+    """
+    det = 1
+    while rows:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            return 0
+        pivot = rows.pop(i)
+        # moving row i to the top passes i rows
+        det = (-det if i & 1 else det) * pivot[0] % p
+        inv = pow(pivot[0], -1, p)
+        tail = pivot[1:]
+        rows = [
+            [(y - c * u) % p for y, u in zip(row[1:], tail)] if (c := row[0] * inv % p) else row[1:]
+            for row in rows
+        ]
+    return det
+
+
+def _unity_primes(k: int):
+    """Primes p = 1 (mod k) below 2^62, largest first, each with a k-th root of unity of order k."""
+    qs = prime_factors(k)
+    p = ((1 << 62) - 2) // k * k + 1
+    while p > k:
+        if _is_prime(p):
+            for g in count(2):
+                z = pow(g, (p - 1) // k, p)
+                if all(pow(z, k // q, p) != 1 for q in qs):
+                    yield p, z
+                    break
+        p -= k
 
 
 # Packed elimination: row i of the upper triangle is one int holding
@@ -515,18 +739,26 @@ def _slot_prime_limit(m: int) -> int:
     return math.isqrt(_SLOT_MAX // (m + 2))
 
 
+# Miller-Rabin bases: 2, 7, 61 are exact below 4,759,123,141 and the
+# primes up to 37 below 3,317,044,064,679,887,385,961,981
+_SMALL_BASES, _SMALL_LIMIT = (2, 7, 61), 4_759_123_141
+_BASES, _LIMIT = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 4,759,123,141 (bases 2, 7, 61)."""
+    """Deterministic Miller-Rabin, exact for n below 3.3 * 10^24."""
+    if n >= _LIMIT:
+        raise ValueError(f"{n} is past the range where the test is exact")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 61):
+    for q in _BASES + (61,):
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
         s += 1
-    for a in (2, 7, 61):
+    for a in _SMALL_BASES if n < _SMALL_LIMIT else _BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -6,6 +6,8 @@ the same states the slow way, by stepping a register or raising its
 companion matrix to a power, and find a joint state's cycle by
 decomposing it through the state basis.  ``merge_congruence`` is the textbook CRT merge that the
 package's shift rule (``cycles.shift_levels``) is checked against.
+``frobenius`` steps the register to find the automorphism
+Φ = g(T)∘D that the package computes from polynomials.
 """
 
 from math import gcd, lcm
@@ -101,6 +103,55 @@ def cycle_labels(reg: Lfsr) -> list[int]:
         if labels[v] == count:
             count += 1
     return labels
+
+
+def frobenius(reg: Lfsr) -> list[int]:
+    """Φ = g(T)∘D on every state, from stepping the register.
+
+    D(v) reads every other output of v's sequence, s_0, s_2, ...; g is
+    the one combination of the states T^k D(S), k < n, that sums to
+    S = (1, 0, ..., 0), found by trying every combination in Gray-code
+    order.  Φ(e_j) is that combination of the T^k D(e_j), and Φ of any
+    state the XOR of the Φ(e_j) over its bits.
+    """
+    n = reg.n
+
+    def decimate(v):
+        out = 0
+        for k in range(n):
+            out |= (v & 1) << k
+            v = step(reg, step(reg, v))
+        return out
+
+    def shifts(v):
+        out = []
+        for _ in range(n):
+            out.append(v)
+            v = step(reg, v)
+        return out
+
+    targets = shifts(decimate(1))
+    combo = acc = 0
+    for m in range(1, 1 << n):
+        k = (m & -m).bit_length() - 1
+        combo ^= 1 << k
+        acc ^= targets[k]
+        if acc == 1:
+            break
+    else:
+        raise AssertionError("no combination of the states T^k D(S) is S")
+    units = []
+    for j in range(n):
+        image = 0
+        for k, w in enumerate(shifts(decimate(1 << j))):
+            if combo >> k & 1:
+                image ^= w
+        units.append(image)
+    table = [0] * (1 << n)
+    for v in range(1, 1 << n):
+        low = v & -v
+        table[v] = table[v ^ low] ^ units[low.bit_length() - 1]
+    return table
 
 
 def merge_congruence(a1: int, m1: int, a2: int, m2: int):

@@ -15,7 +15,11 @@ dividing the lcm of the eliminated diagonal, and a scaled Schur
 complement whose entries pass the modulus or whose first pivot
 vanishes mod p.  A singular minor must end within the primes the skip
 rule allows.  The slot bound is checked over row and digit counts, and
-the cofactor's peak memory on a mid-size register.
+the cofactor's peak memory on a mid-size register.  The split by the
+graph's permutation π is checked on drawn multigraphs symmetrised under
+a drawn π with mixed orbit sizes, and by the block sizes and counts of
+dense-count; the plain elimination modulo primes p = 1 (mod k), the
+primes and their roots of unity against sympy.
 """
 
 import itertools
@@ -33,12 +37,14 @@ from cyclejoin import adjacency
 from cyclejoin.adjacency import (
     AdjacencyGraph,
     _independent_schur,
+    _det_mod,
     _is_prime,
     _pack,
     _slot_prime_limit,
     _slot_primes,
     _spd_det,
     _spd_det_mod,
+    _unity_primes,
     _unpack,
     best_count,
 )
@@ -154,6 +160,50 @@ def test_drawn_multigraphs_match_references(graph):
     if not graph.is_connected():
         assert best_count(graph) == best_count(graph, condensed=True) == 0
 
+
+
+@st.composite
+def symmetric_multigraphs(draw):
+    # a permutation π of the vertices that fixes vertex 0, with drawn
+    # cycle lengths, and one drawn multiplicity per π-orbit of vertex pairs
+    lengths = draw(st.lists(st.integers(1, 6), max_size=7))
+    psi = 1 + sum(lengths)
+    order = draw(st.permutations(range(1, psi)))
+    phi = list(range(psi))
+    start = 0
+    for n in lengths:
+        cycle = order[start : start + n]
+        for t, v in enumerate(cycle):
+            phi[v] = cycle[(t + 1) % n]
+        start += n
+    density = draw(st.floats(0.0, 1.0))
+    mults = {}
+    for a in range(psi):
+        for b in range(a + 1, psi):
+            if (a, b) in mults:
+                continue
+            mult = draw(st.integers(1, 4)) if draw(st.floats(0.0, 1.0)) < density else 0
+            x, y = a, b
+            while True:
+                mults[(min(x, y), max(x, y))] = mult
+                x, y = phi[x], phi[y]
+                if (x, y) == (a, b):
+                    break
+    edges, label = {}, 1
+    for e, mult in mults.items():
+        if mult:
+            edges[e] = tuple(2 * (label + k) for k in range(mult))
+            label += mult
+    graph = AdjacencyGraph(psi, edges)
+    graph._phi = tuple(phi)
+    return graph
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_multigraphs())
+def test_drawn_symmetric_multigraphs_match_bareiss(graph):
+    for condensed in (False, True):
+        assert best_count(graph, condensed) == bareiss_det(_minor(graph, condensed))
 
 
 def _two_triangles():
@@ -276,11 +326,47 @@ def test_is_prime_matches_sympy():
         assert not _is_prime(n)
     for n in range(5000):
         assert _is_prime(n) == sympy.isprime(n), n
-    # 4759123141 is the first composite the bases 2, 7, 61 pass
+    # 4759123141 is the first composite the bases 2, 7, 61 pass, and
+    # 3825123056546413051 passes the primes up to 23
     limit = _slot_prime_limit(0)
     assert limit < 4759123141
     for n in range(limit - 3000, limit + 1):
         assert _is_prime(n) == sympy.isprime(n), n
+    for n in [4759123141, 3825123056546413051]:
+        assert not _is_prime(n)
+    for n in range(4759123141 - 500, 4759123141 + 500):
+        assert _is_prime(n) == sympy.isprime(n), n
+    rng = random.Random(62)
+    drawn = [rng.getrandbits(62) | 1 for _ in range(3000)]
+    drawn += [sympy.prevprime(1 << 62), sympy.nextprime(1 << 61), (1 << 62) - 1]
+    for n in drawn:
+        assert _is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ValueError, match="exact"):
+        _is_prime(1 << 82)
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 12, 60])
+def test_unity_primes_hold_roots_of_the_order(k):
+    primes = list(itertools.islice(_unity_primes(k), 4))
+    assert [p for p, _ in primes] == sorted((p for p, _ in primes), reverse=True)
+    for p, z in primes:
+        assert p < 1 << 62 and p % k == 1 and sympy.isprime(p)
+        assert sympy.n_order(z, p) == k
+    assert primes[0][0] == max(p for p in range((1 << 62) - 60 * k, 1 << 62) if p % k == 1 and sympy.isprime(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 13, (1 << 61) - 1]),
+    st.integers(0, 6).flatmap(
+        lambda m: st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=m, max_size=m)
+    ),
+)
+def test_det_mod_matches_sympy(p, a):
+    # small entries and small primes give zero pivots, row swaps and
+    # singular matrices
+    expected = int(sympy.Matrix(a).det()) % p if a else 1
+    assert _det_mod([[v % p for v in row] for row in a], p) == expected
 
 
 @given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=40))
@@ -415,14 +501,18 @@ def test_drawn_semidefinite_matrices_match_bareiss_with_small_primes(a):
         assert _det(a) == bareiss_det(a)
 
 
-def test_dense_count_eliminates_half_the_minor_per_prime(monkeypatch):
-    # the greedy independent set is the first activity class, 117 of the
-    # 235 rows, so every prime eliminates the other 118
+def test_dense_count_splits_into_one_block_per_eigenvalue_order(monkeypatch):
+    # Φ has order 12 on dense-count, with orbits of sizes 1 (three beside
+    # vertex 0), 2 (two), 6 (two) and 12 (eighteen); each order d takes
+    # the orbits whose size it divides, and the Z_d multiply to the count
     g = FactoredLfsr.from_strings(DENSE_FACTORS).graph()
-    for condensed, primes, expected in [(False, 43, DENSE_ZETA_G), (True, 41, DENSE_ZETA_GHAT)]:
-        calls = _spy(monkeypatch, "_spd_det_mod")
+    for condensed, expected in [(False, DENSE_ZETA_G), (True, DENSE_ZETA_GHAT)]:
+        real = _spy(monkeypatch, "_real_det")
+        unity = _spy(monkeypatch, "_unity_det")
         assert best_count(g, condensed) == expected
-        assert [len(rows) for (rows, _), _ in calls] == [118] * primes
+        blocks = [(args[2], len(args[1]), z) for args, z in real + unity]
+        assert [(d, m) for d, m, _ in blocks] == [(1, 25), (2, 22), (3, 20), (4, 18), (6, 20), (12, 18)]
+        assert math.prod(z for _, _, z in blocks) == expected
 
 
 def test_cofactor_peak_memory(monkeypatch):

@@ -6,7 +6,9 @@ iterator, sympy tests
 irreducibility and powers of x over GF(2) with its own algorithms,
 brute-force state stepping (state_oracle) finds the register's cycles,
 which the sweep over every register of degree at most 10 turns into
-pairs and a Bareiss count, and Berlekamp-Massey measures the linear
+pairs and a Bareiss count, and the register's automorphism Φ, whose
+cycle permutation must be the package's and keep every multiplicity of
+the sweep, and Berlekamp-Massey measures the linear
 complexity of the emitted sequences, which for a de Bruijn sequence of
 order n lies in [2^{n-1} + n, 2^n - 1] (Chan, Games and Key 1982).
 """
@@ -21,11 +23,11 @@ from networkx.algorithms.tree.mst import SpanningTreeIterator
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
-from cyclejoin.adjacency import best_count
+from cyclejoin.adjacency import _frobenius, best_count
 from cyclejoin.gf2 import is_irreducible, is_primitive
 from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree, spanning_trees
 from cyclejoin.pipeline import FactoredLfsr
-from state_oracle import cycle_labels
+from state_oracle import cycle_labels, frobenius
 from test_determinant import bareiss_det
 from test_pair_search import GOLDEN
 
@@ -208,6 +210,42 @@ def test_every_small_register_matches_brute_force(n):
             assert (index[v], index[v ^ 1]) == (a, b), polys
             parent[find(a)] = find(b)
         assert len({find(c) for c in range(inst.psi)}) == 1, polys
+
+
+def _stepped_permutation(inst, index):
+    """Per cycle, the cycle that the stepped Φ sends its states to; index[v] is v's cycle."""
+    phi = frobenius(inst.lfsr)
+    image = [None] * inst.psi
+    for v, w in enumerate(phi):
+        # Φ is linear and fixes S, so it maps each pair (v, v ^ 1) to a pair
+        assert phi[v ^ 1] == w ^ 1
+        # and maps cycles onto cycles
+        assert image[index[v]] in (None, index[w])
+        image[index[v]] = index[w]
+    return tuple(image)
+
+
+@pytest.mark.parametrize("facs", GOLDEN)
+def test_frobenius_matches_the_stepped_oracle(facs):
+    inst = FactoredLfsr.from_strings(facs)
+    labels = cycle_labels(inst.lfsr)
+    cycle_of = {labels[inst.representative(i)]: i for i in range(inst.psi)}
+    pi = inst.graph()._phi
+    assert pi == _stepped_permutation(inst, [cycle_of[label] for label in labels])
+    special = inst.cycles.special_index
+    assert pi[0] == 0 and pi[special] == special
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_every_small_register_keeps_its_multiplicities_under_frobenius(n):
+    for polys in _factor_sets(n):
+        inst = FactoredLfsr(polys)
+        index, bundles = _brute_force_bundles(inst)
+        pi = _stepped_permutation(inst, index)
+        assert pi == _frobenius(inst.cycles, inst.factors, inst.basis), polys
+        mults = {e: len(vs) for e, vs in bundles.items()}
+        for (a, b), m in mults.items():
+            assert mults.get((min(pi[a], pi[b]), max(pi[a], pi[b]))) == m, (polys, a, b)
 
 
 def test_is_irreducible_matches_sympy_up_to_degree_10():
