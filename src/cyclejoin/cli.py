@@ -263,6 +263,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.order is not None and args.order < 1:
+        raise ValueError("--order must be at least 1")
     # lines stream in, but results print only after the last one: an input
     # that fails to decode exits 2 with nothing on stdout
     results = []

@@ -30,9 +30,12 @@ its states is located and keeps it for later joins.  It also keeps the
 positions of each conjugate pair after the first join that uses it, as
 one int, so a repeat join finds its pairs by dict lookups instead of
 walks; that memory is one entry per distinct pair joined, at most
-2^(n-1).  The de Bruijn check builds the 2^n cyclic window values a
-byte at a time (lfsr's cyclic_windows), out of one big integer with one
-byte per bit, and marks each in a table of 2^n bytes.
+2^(n-1).  The de Bruijn check builds the 2^(n-1) cyclic (n+1)-bit
+windows at even positions a byte at a time (lfsr's cyclic_windows), out
+of one big integer with one byte per bit.  Each holds the n-bit windows
+at its position and the next, so marking each in a table of 2^(n+1)
+bytes marks all 2^n windows with half as many stores; four C-level
+reads of the table fold the marks back to n-bit values.
 """
 
 import heapq
@@ -280,12 +283,16 @@ def random_spanning_tree(graph: AdjacencyGraph, seed) -> tuple[int, ...]:
         while not in_tree[u]:  # loops erased: follow the last exits
             in_tree[u] = 1
             u = nbrs[u][exit_of[u]]
-    mult = graph.multiplicities
+    # the multiplicity sits at the exit's index in the neighbour table
+    mults = graph.neighbours[1]
+    edges = graph.edges
     tree = []
     for v in range(psi):
         if v != root:
-            key = _edge_key((v, nbrs[v][exit_of[v]]))
-            tree.append(graph.edges[key][rng.randrange(mult[key])])
+            k = exit_of[v]
+            u = nbrs[v][k]
+            pairs = edges[(v, u) if v < u else (u, v)]
+            tree.append(pairs[rng.randrange(mults[v][k])])
     return tuple(tree)
 
 
@@ -445,9 +452,13 @@ def verify_de_bruijn(seq: str, n: int) -> bool:
 
     `seq` is a str of 0s and 1s: any other type raises TypeError, and a
     str with another character, or of a length other than 2^n, raises
-    ValueError.  The 2^n cyclic window values come from
-    lfsr.cyclic_windows; each marks its slot in a table of 2^n bytes,
-    and the sequence is de Bruijn iff no slot is left unmarked.
+    ValueError.  The (n+1)-bit cyclic window x_j at position 2j, for
+    j < 2^(n-1), holds two n-bit ones: x_j mod 2^n is the window at 2j
+    and x_j >> 1 the window at 2j + 1.  lfsr.cyclic_windows gives the
+    x_j, and each marks its slot in a table of 2^(n+1) bytes, so 2^n
+    windows take 2^(n-1) stores.  The table's two halves give the low
+    windows and its even and odd bytes the high ones; the sequence is
+    de Bruijn iff the four together leave no n-bit value unmarked.
     """
     if not isinstance(seq, str):
         raise TypeError(f"sequence must be a str, not {type(seq).__name__}")
@@ -461,10 +472,15 @@ def verify_de_bruijn(seq: str, n: int) -> bool:
     data = seq.encode("ascii", "replace")
     if data.translate(None, b"01"):
         raise ValueError("sequence must be binary")
-    # The mark is the permutation test: there are exactly 2^n values, all
-    # below 2^n, so every slot is marked iff they are distinct.  It holds
-    # one byte per value where a set would hold an int object.
-    mark = bytearray(1 << n)
-    for v in cyclic_windows(data, n):
+    # The mark is the permutation test: there are exactly 2^n windows, all
+    # below 2^n, so they cover every n-bit value iff they are distinct.  It
+    # holds one byte per slot where a set would hold an int object.
+    size = 1 << n
+    mark = bytearray(2 * size)
+    for v in cyclic_windows(data, n + 1, 2):
         mark[v] = 1
-    return 0 not in mark
+    # the marks are 0 or 1, so ORing the byte strings as ints ORs them bytewise
+    view = memoryview(mark)
+    covered = int.from_bytes(view[:size], "little") | int.from_bytes(view[size:], "little")
+    covered |= int.from_bytes(mark[0::2], "little") | int.from_bytes(mark[1::2], "little")
+    return covered == int.from_bytes(b"\1" * size, "little")

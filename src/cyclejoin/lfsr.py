@@ -275,7 +275,7 @@ class CycleTable:
                 break
             seek = m - n + 1
         text = text[:period]
-        return text, cyclic_windows(text.encode("ascii"), n)[:: self._gap]
+        return text, cyclic_windows(text.encode("ascii"), n, self._gap)
 
 
 def _low_bits(order: array) -> str:
@@ -283,11 +283,13 @@ def _low_bits(order: array) -> str:
     return order.tobytes()[_LOW :: order.itemsize].translate(_LOW_BIT).decode()
 
 
-def cyclic_windows(bits: bytes, n: int) -> array:
-    """The values of the len(bits) n-bit windows of a cyclic bit string.
+def cyclic_windows(bits: bytes, n: int, step: int = 1) -> array:
+    """The values of the n-bit windows at every step-th position of a cyclic bit string.
 
     `bits` is ASCII 0s and 1s (b"0110..."), at least one, and the window
-    at i has bits[(i + j) % len(bits)] as its bit j.  The string becomes
+    at i has bits[(i + j) % len(bits)] as its bit j.  The windows at
+    0, step, 2 step, ... below len(bits) come back in that order, so
+    step 1 gives all len(bits) of them.  The string becomes
     one bit per byte, with the first n - 1 bits of its cyclic reading
     appended so that no window wraps.  Byte b of a window's value is
     itself a window: 8 bits at i + 8b, or the n % 8 bits left for the
@@ -297,7 +299,9 @@ def cyclic_windows(bits: bytes, n: int) -> array:
     and the set bits of n % 8 are summed on the way.  Strided slice
     assignment then interleaves the bytes into slots of 1, 2, 4 or 8
     bytes, handed back as an array: iterating one is faster than a
-    memoryview cast.
+    memoryview cast.  Each row is cut at the step as a bytes slice,
+    which copies a strided row about twice as fast as a memoryview
+    slice does.
     """
     count = len(bits)
     length = count + n - 1
@@ -322,11 +326,11 @@ def cyclic_windows(bits: bytes, n: int) -> array:
     # their array, not every buffer at once
     del w, top
     width = next(s for s in _SLOT_FORMATS if len(rows) <= s)
-    slots = bytearray(width * count)
+    slots = bytearray(width * -(-count // step))
     for b in range(len(rows)):
         # byte b is the b-th least significant of its slot in native order
         slot = width - 1 - b if _BIG_ENDIAN else b
-        slots[slot::width] = memoryview(rows[b])[8 * b : 8 * b + count]
+        slots[slot::width] = rows[b][8 * b : 8 * b + count : step]
     del rows
     return array(_SLOT_FORMATS[width], slots)
 

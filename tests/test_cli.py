@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -199,8 +200,10 @@ def test_verify_rejects_non_power_of_two(tmp_path, capsys):
     assert code == 1 and "FAIL" in vout
 
 
-@pytest.mark.parametrize("text,argv", [("0\n", ()), ("1\n", ()), ("01\n", ("--order", "-1"))])
+@pytest.mark.parametrize("text,argv", [("0\n", ()), ("1\n", ())])
 def test_verify_reports_order_below_one_as_fail(tmp_path, capsys, text, argv):
+    # a line's inferred order is below 1; an --order below 1 is rejected
+    # before reading, in the table of bad arguments below
     f = tmp_path / "short.txt"
     f.write_text(text)
     code, vout, err = run(capsys, "verify", str(f), *argv)
@@ -528,15 +531,23 @@ def test_sample_on_disconnected_graph_exits_before_any_output(monkeypatch, capsy
         (("generate", "--initial-state", "00000000"), "initial state must have 7 bits"),
         (("generate", "--partial", "--initial-state", "1"), "must have 7 bits"),
         (("sample", "--initial-state", "10000000000"), "initial state must have 7 bits"),
+        (("verify", "-", "--order", "0"), "--order must be at least 1"),
+        (("verify", "-", "--order", "-1"), "--order must be at least 1"),
     ],
 )
 def test_bad_arguments_are_rejected_before_the_graph_build(monkeypatch, capsys, argv, message):
     def built(self):
         raise AssertionError("built the graph before checking the arguments")
 
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("read the input before checking the arguments")
+
     monkeypatch.setattr(FactoredLfsr, "graph", built)
     monkeypatch.setattr(FactoredLfsr, "greedy_tree", built)
-    code, out, err = run(capsys, *argv, "--factors", "11,111,11111")
+    monkeypatch.setattr(sys, "stdin", Unread())
+    factors = () if argv[0] == "verify" else ("--factors", "11,111,11111")
+    code, out, err = run(capsys, *argv, *factors)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err

@@ -324,6 +324,63 @@ def test_windows_match_per_window_encoding(n, monkeypatch):
         assert swapped.tolist() == expected
 
 
+@pytest.mark.parametrize("n", range(1, 42))
+def test_windows_at_a_step_are_every_step_th_window(n, monkeypatch):
+    # verify reads width n + 1 at step 2, up to 41 bits at n = 40; the cycle
+    # table reads its landmarks at step 2^(n/4)
+    rng = random.Random(n)
+    lengths = (1, 2, 3, n, n + 1, 2 * n + 5, 3 * n + 6, 1 << min(n, 12))
+    for m in lengths:
+        data = "".join(rng.choice("01") for _ in range(m)).encode()
+        every = lfsr.cyclic_windows(data, n)
+        for step in sorted({2, 3, 1 << n // 4}):
+            expected = every[::step].tolist()
+            assert lfsr.cyclic_windows(data, n, step).tolist() == expected
+            monkeypatch.setattr(lfsr, "_BIG_ENDIAN", sys.byteorder == "little")
+            swapped = lfsr.cyclic_windows(data, n, step)
+            monkeypatch.undo()
+            swapped.byteswap()
+            assert swapped.tolist() == expected
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_verify_matches_window_oracle_on_every_flip_and_swap(n):
+    # a flip or a swap of adjacent bits moves windows at positions of both
+    # parities, so it reaches both halves of each (n+1)-bit window
+    db = lyndon_de_bruijn(n)
+    flip = str.maketrans("01", "10")
+    cases = [db[:i] + db[i].translate(flip) + db[i + 1 :] for i in range(1 << n)]
+    cases += [db[:i] + db[i + 1] + db[i] + db[i + 2 :] for i in range((1 << n) - 1)]
+    cases.append(db[-1] + db[1:-1] + db[0])  # the swap across the wrap
+    for bits in cases:
+        assert verify_de_bruijn(bits, n) is reference_windows(bits, n)
+
+
+def even_windows_distinct_odd_repeats(n: int) -> list[str]:
+    """Strings of length 2^n whose even-position windows are pairwise distinct
+    while some odd-position window repeats one of them."""
+    out = []
+    for v in range(1 << (1 << n)):
+        bits = format(v, f"0{1 << n}b")
+        ext = bits + bits[: n - 1]
+        windows = [ext[i : i + n] for i in range(1 << n)]
+        even = set(windows[0::2])
+        if len(even) == 1 << (n - 1) and even.intersection(windows[1::2]):
+            out.append(bits)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_rejects_an_odd_window_repeating_an_even_one(n):
+    cases = even_windows_distinct_odd_repeats(n)
+    if n == 2:
+        assert "0001" in cases
+    assert cases
+    for bits in cases:
+        assert not reference_windows(bits, n)
+        assert verify_de_bruijn(bits, n) is False
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_verify_accepts_exactly_the_de_bruijn_strings(n):
     # 2^(2^(n-1) - n) de Bruijn cycles of order n, each with 2^n distinct

@@ -5,8 +5,10 @@ decoding do not depend on the host's locale.  RECORDED holds the exit
 code, stdout and stderr of the line-by-line check that the current
 streamed one replaced (one `str.strip("01")` scan in the command and
 one in `verify_de_bruijn`, every line held in memory); they must stay
-byte for byte the same.  The one exception is `order_zero`: that check
-ignored `--order 0`, so its entry was recorded after the fix.
+byte for byte the same.  The exceptions are `order_zero` and
+`order_negative`: that check ignored `--order 0`, and both once printed
+FAIL for their line; an `--order` below 1 now exits 2 before any input
+is read, and their entries record that.
 """
 
 import os
@@ -68,6 +70,7 @@ CASES = {
 SRC = Path(cyclejoin.__file__).resolve().parents[1]
 
 DECODE_ERROR = b"error: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte\n"
+ORDER_BELOW_ONE = b"error: --order must be at least 1\n"
 
 # (exit code, stdout, stderr) per case
 RECORDED = {
@@ -110,8 +113,8 @@ RECORDED = {
     "order_below": (1, b"sequence 1: order 2: FAIL\nsequence 2: order 2: ok\n", b""),
     "order_equal": (0, b"sequence 1: order 3: ok\nsequence 2: order 3: ok\n", b""),
     "order_huge": (1, b"sequence 1: order 99: FAIL\n", b""),
-    "order_negative": (1, b"sequence 1: order -2: FAIL\n", b""),
-    "order_zero": (1, b"sequence 1: order 0: FAIL\n", b""),
+    "order_negative": (2, b"", ORDER_BELOW_ONE),
+    "order_zero": (2, b"", ORDER_BELOW_ONE),
     "order_zero_lines": (1, b"sequence 1: order 0: FAIL\nsequence 2: order 0: FAIL\n", b""),
     "stdin": (
         1,
