@@ -21,15 +21,17 @@ vertices, so it splits into one block per eigenvalue λ of that
 permutation, and the blocks of the λ of one order d multiply to an
 integer Z_d.  Z_1 and Z_2 (λ = 1, -1) are integer symmetric
 determinants: one symmetric elimination per word-sized prime, each row
-packed into one integer, and CRT up to a bound on the count.  Before
-the primes, a maximal independent set of the matrix (a diagonal block)
-is eliminated once, exactly over the integers: its Schur complement,
-scaled by the lcm of that diagonal, is an integer matrix, and each
-prime eliminates only it.  Its dense rows are split once into rows of
-signed digits, from which every prime packs its rows by one
-expression; past three digits the primes come from a lower limit, so
-the slots still cannot carry.  Each Z_d with d >= 3 is a square, taken
-by a plain elimination modulo primes that hold the d-th roots of unity.
+packed into one integer, and CRT up to a bound on the count; the two
+read one list of primes.  Before the primes, a maximal independent set
+of the matrix (a diagonal block) is eliminated once, exactly over the
+integers: its Schur complement, scaled by the lcm of that diagonal, is
+an integer matrix, and each prime eliminates only it.  Its dense rows
+are split once into rows of signed digits, from which every prime
+packs its rows by one expression; past three digits the primes come
+from a lower limit, so the slots still cannot carry.  Each Z_d with
+d >= 3 is a square, taken by one elimination per λ modulo the product
+M of the primes its bound needs, primes that hold the d-th roots of
+unity; the graph keeps those primes for every count that reads it.
 On dense-count (``11,1011110010111``) the 235 rows of the minor become
 blocks of 25, 22, 20, 18, 20 and 18 rows for d = 1, 2, 3, 4, 6 and 12.
 
@@ -83,7 +85,7 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, chain, count, product, tee
+from itertools import accumulate, chain, count, product
 from math import gcd, lcm
 from operator import mul
 
@@ -384,6 +386,23 @@ class PairBundles(Mapping):
         return len(self.counts)
 
 
+class _PrimeList:
+    """One prime search, begun by its first reader; later readers replay its finds first."""
+
+    def __init__(self):
+        self._found = []
+        self._search = None
+
+    def read(self, search):
+        """Yield the primes found so far, then new ones from ``search()``, which only the first reader calls."""
+        if self._search is None:
+            self._search = search()
+        yield from self._found
+        for p in self._search:
+            self._found.append(p)
+            yield p
+
+
 @dataclass
 class AdjacencyGraph:
     """Multigraph over cycle indices with conjugate-pair edge labels.
@@ -397,12 +416,15 @@ class AdjacencyGraph:
     the sampler and the cofactor read one table, ``neighbours``.
     ``_phi`` is a permutation of the vertices that fixes vertex 0 and
     keeps every multiplicity, which the cofactor splits by; a built graph
-    holds the register's Φ there, a hand-built one none.
+    holds the register's Φ there, a hand-built one none.  ``_roots`` keeps
+    the primes p = 1 (mod k) the cofactor has found for Φ's order k, with
+    their roots of unity, so that G and Ĝ search them once.
     """
 
     num_vertices: int
     edges: Mapping[tuple[int, int], tuple[int, ...]]
     _phi: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _roots: _PrimeList = field(default_factory=_PrimeList, init=False, repr=False, compare=False)
 
     @cached_property
     def multiplicities(self) -> dict[tuple[int, int], int]:
@@ -574,9 +596,13 @@ def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
     conjugates, so Z_d = prod over them of det M_λ is a positive integer,
     and the count is the product of Z_d over the orders d.  Z_1 and Z_2
     (λ = 1, -1) are det(S M_λ) / det S, with S M_λ an integer symmetric
-    positive definite matrix: ``_spd_det`` takes it.  Each Z_d with
-    d >= 3 is taken modulo primes p = 1 (mod k) by ``_unity_det``.  A
-    graph without π has k = 1 and one block, L itself.
+    positive definite matrix: ``_spd_det`` takes it, and the two read one
+    list of slot primes.  Each Z_d with d >= 3 is taken by
+    ``_unity_det``: one elimination per λ modulo the product of primes
+    p = 1 (mod k) that passes its bound.  Those primes, with their k-th
+    roots of unity, are searched once per graph and kept on it, so G and
+    Ĝ read one list.  A graph without π has k = 1 and one block, L
+    itself.
     """
     if not graph.is_connected():
         return 0
@@ -602,19 +628,18 @@ def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
         rows.append(row)
     k = lcm(*sizes)
     orders = sorted({d for s in sizes for d in range(1, s + 1) if s % d == 0})
-    # every d >= 3 reads one list of primes, found as the first d needs them
-    streams = iter(tee(_unity_primes(k), sum(d > 2 for d in orders)))
+    slots = _PrimeList()
     total = 1
     for d in orders:
         block = [a for a, s in enumerate(sizes) if s % d == 0]
         if d <= 2:
-            total *= _real_det(rows, block, d, sizes)
+            total *= _real_det(rows, block, d, sizes, slots)
         else:
-            total *= _unity_det(rows, block, d, k, next(streams))
+            total *= _unity_det(rows, block, d, k, graph._roots.read(lambda: _unity_primes(k)))
     return total
 
 
-def _real_det(rows, block, d: int, sizes) -> int:
+def _real_det(rows, block, d: int, sizes, slots) -> int:
     """Z_d for d = 1 or 2: det M_λ with λ = 1 or -1, the block of the orbits s_a divides.
 
     S M_λ is read off ``best_count``'s rows as ``_spd_det`` reads a
@@ -631,7 +656,7 @@ def _real_det(rows, block, d: int, sizes) -> int:
         diag.append(s * acc.pop(at[a]))
         cols = sorted(c for c, v in acc.items() if v)
         sparse.append((cols, [s * acc[c] for c in cols]))
-    return _spd_det(diag, sparse) // math.prod(sizes[a] for a in block)
+    return _spd_det(diag, sparse, slots) // math.prod(sizes[a] for a in block)
 
 
 def _unity_det(rows, block, d: int, k: int, primes) -> int:
@@ -645,10 +670,16 @@ def _unity_det(rows, block, d: int, k: int, primes) -> int:
     real subfield).  Hadamard's inequality for S M_λ gives
     det M_λ <= prod_b M_λ[b][b], and |M_λ[b][b]| is at most L[r_b, r_b]
     plus the |L[r_b, π^t(r_b)]|, t != 0; so Y_d is below that product
-    raised to the number of j.  ``primes`` yields primes p = 1 (mod k)
-    with a k-th root of unity z, so w = z^(k/d) mod p; each M_λ mod p is
-    eliminated plainly (``_det_mod``), and the residues of Y_d are
-    combined by CRT past the bound.
+    raised to the number of j.
+
+    ``primes`` yields primes p = 1 (mod k), each with a k-th root of
+    unity z; they are taken until their product M passes the bound.
+    The roots z^(k/d) mod p combine by CRT into one w of order d modulo
+    every p, so each M_λ is built once modulo M and eliminated once
+    (``_det_mod``), and Y_d is the product of those determinants mod M:
+    exact, since Y_d is below the bound and so below M.  Should an
+    elimination meet a column with no unit mod M, that λ is eliminated
+    prime by prime instead, and its residues combined by CRT.
     """
     at = {a: i for i, a in enumerate(block)}
     js = [j for j in range(1, (d + 1) // 2) if gcd(j, d) == 1]
@@ -664,46 +695,65 @@ def _unity_det(rows, block, d: int, k: int, primes) -> int:
         coeffs.append([(c, r, v) for (c, r), v in acc.items() if v])
         bound *= top
     bound **= len(js)
-    m = len(block)
-    x, modulus = 0, 1
-    while modulus <= bound:
-        p, z = next(primes)
-        w = pow(z, k // d, p)
-        det = 1
-        for j in js:
-            lam = pow(w, j, p)
-            powers = [pow(lam, r, p) for r in range(d)]
-            mat = []
-            for entries in coeffs:
-                row = [0] * m
-                for c, r, v in entries:
-                    row[c] += v * powers[r]
-                mat.append([y % p for y in row])
-            det = det * _det_mod(mat, p) % p
-        x += modulus * ((det - x) * pow(modulus, -1, p) % p)
+    ps, w, modulus = [], 0, 1
+    for p, z in primes:
+        w += modulus * ((pow(z, k // d, p) - w) * pow(modulus, -1, p) % p)
+        ps.append(p)
         modulus *= p
-    return x * x
+        if modulus > bound:
+            break
+    m = len(block)
+    y = 1
+    for j in js:
+        lam = pow(w, j, modulus)
+        powers = [pow(lam, r, modulus) for r in range(d)]
+        mat = []
+        for entries in coeffs:
+            row = [0] * m
+            for c, r, v in entries:
+                row[c] += v * powers[r]
+            mat.append([x % modulus for x in row])
+        det = _det_mod(mat, modulus)
+        if det is None:
+            det, mod = 0, 1
+            for p in ps:
+                res = _det_mod([[x % p for x in row] for row in mat], p)
+                det += mod * ((res - det) * pow(mod, -1, p) % p)
+                mod *= p
+        y = y * det % modulus
+    return y * y
 
 
-def _det_mod(rows: list[list[int]], p: int) -> int:
-    """Determinant mod p of a square matrix of residues, by elimination with row pivoting.
+def _det_mod(rows: list[list[int]], m: int) -> int | None:
+    """Determinant mod m of a square matrix of residues, by elimination with unit pivots.
 
-    A pivot column with no nonzero entry gives 0: p divides the
-    determinant.
+    Any modulus: each column pivots on its first row whose entry is a
+    unit mod m.  A column whose entries are all 0 mod m gives 0; one with
+    nonzero entries but no unit gives None, which only a composite m can
+    meet.  The pivot row is reduced, and the other rows are updated as
+    y + c u with c and u reduced but the sum left unreduced, so after at
+    most |rows| updates each entry is below |rows| m^2.  ``rows`` is
+    not changed.
     """
     det = 1
     while rows:
-        i = next((i for i, row in enumerate(rows) if row[0]), None)
-        if i is None:
-            return 0
-        pivot = rows.pop(i)
+        stuck = False
+        for i, row in enumerate(rows):
+            if a := row[0] % m:
+                try:
+                    inv = pow(a, -1, m)
+                    break
+                except ValueError:
+                    stuck = True
+        else:
+            return None if stuck else 0
         # moving row i to the top passes i rows
-        det = (-det if i & 1 else det) * pivot[0] % p
-        inv = pow(pivot[0], -1, p)
-        tail = pivot[1:]
+        det = (-det if i & 1 else det) * a % m
+        neg = m - inv
+        tail = [u % m for u in rows[i][1:]]
         rows = [
-            [(y - c * u) % p for y, u in zip(row[1:], tail)] if (c := row[0] * inv % p) else row[1:]
-            for row in rows
+            [y + c * u for y, u in zip(row[1:], tail)] if (c := row[0] * neg % m) else row[1:]
+            for row in chain(rows[:i], rows[i + 1 :])
         ]
     return det
 
@@ -885,7 +935,7 @@ def _independent_schur(diag: list[int], rows: list) -> tuple[int, int, list]:
     return lam, math.prod(diag[k] for k in indep), upper
 
 
-def _spd_det(diag: list[int], rows: list) -> int:
+def _spd_det(diag: list[int], rows: list, slots: _PrimeList | None = None) -> int:
     """Exact determinant of a symmetric positive semidefinite integer matrix.
 
     The matrix comes as its diagonal and, per row, the columns and the
@@ -911,6 +961,9 @@ def _spd_det(diag: list[int], rows: list) -> int:
     minor is 0; a semidefinite matrix with a singular principal block is
     singular (x^T A x = 0 forces A x = 0), so then det A = 0.  A singular
     matrix meets a vanishing pivot at every prime, so the loop ends.
+
+    ``slots`` lets several matrices read one search: the first begins it
+    at its own slot limit, and each keeps the primes below its own.
     """
     bound = math.prod(diag)
     if not bound:
@@ -932,7 +985,10 @@ def _spd_det(diag: list[int], rows: list) -> int:
     ndigits = max(1, -(-top.bit_length() // shift))
     split = [_digit_rows(upper.pop(), shift, ndigits) for _ in range(r)][::-1]
     x, modulus, vanished = 0, 1, {}
-    primes = _slot_primes(r + max(0, ndigits - 3) * ndigits)
+    m = r + max(0, ndigits - 3) * ndigits
+    limit = _slot_prime_limit(m)
+    found = (slots or _PrimeList()).read(lambda: _slot_primes(m))
+    primes = (p for p in found if p <= limit)
     while modulus <= bound:
         p = next(primes)
         if lam % p == 0:

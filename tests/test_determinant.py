@@ -18,8 +18,13 @@ rule allows.  The slot bound is checked over row and digit counts, and
 the cofactor's peak memory on a mid-size register.  The split by the
 graph's permutation π is checked on drawn multigraphs symmetrised under
 a drawn π with mixed orbit sizes, and by the block sizes and counts of
-dense-count; the plain elimination modulo primes p = 1 (mod k), the
-primes and their roots of unity against sympy.
+dense-count; the primes p = 1 (mod k) and their roots of unity against
+sympy.  The unit-pivot elimination is checked against sympy modulo
+primes and modulo products of primes, where it may find a column
+without a unit; dense-count must take one elimination per λ modulo the
+product of its primes, search its primes once per graph, come out
+right through the prime-by-prime fallback when those primes are small,
+and stay within a peak memory bound.
 """
 
 import itertools
@@ -30,7 +35,7 @@ import tracemalloc
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclejoin import adjacency
@@ -369,6 +374,61 @@ def test_det_mod_matches_sympy(p, a):
     assert _det_mod([[v % p for v in row] for row in a], p) == expected
 
 
+def _unit_pivot_det(a, m):
+    """det a mod m by elimination on fully reduced rows, pivoting on the first
+    row whose leading entry is prime to m; None at a column of nonzero
+    entries none of which is."""
+    a = [[v % m for v in row] for row in a]
+    det = 1
+    while a:
+        col = [row[0] for row in a]
+        i = next((i for i, v in enumerate(col) if math.gcd(v, m) == 1), None)
+        if i is None:
+            return None if any(col) else 0
+        pivot = a.pop(i)
+        det = det * (-1) ** i * pivot[0] % m
+        inv = pow(pivot[0], -1, m)
+        a = [[(y - row[0] * inv * u) % m for y, u in zip(row[1:], pivot[1:])] for row in a]
+    return det
+
+
+_COMPOSITES = [(3, 5, 7), (13, 37), ((1 << 61) - 1, (1 << 31) - 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_COMPOSITES).flatmap(
+        lambda qs: st.tuples(
+            st.just(qs),
+            st.integers(0, 6).flatmap(
+                lambda m: st.lists(
+                    st.lists(
+                        # small entries, some of them multiples of a prime of M: non-units
+                        st.builds(lambda v, q: v * q, st.integers(-3, 3), st.sampled_from((1, 1) + qs)),
+                        min_size=m,
+                        max_size=m,
+                    ),
+                    min_size=m,
+                    max_size=m,
+                )
+            ),
+        )
+    )
+)
+@example(((3, 5, 7), [[3, 1], [5, 1]]))
+@example(((13, 37), [[13, 1, 0], [0, 2, 1], [37, 0, 1]]))
+def test_det_mod_with_a_composite_modulus(case):
+    qs, a = case
+    m = math.prod(qs)
+    reduced = [[v % m for v in row] for row in a]
+    det = _det_mod(reduced, m)
+    # None exactly where the unit-pivot rule meets a column without a unit
+    assert det == _unit_pivot_det(a, m)
+    if det is not None:
+        assert det == (int(sympy.Matrix(a).det()) % m if a else 1)
+    assert reduced == [[v % m for v in row] for row in a]  # the rows are not changed
+
+
 @given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=40))
 def test_pack_round_trip(slots):
     x = _pack(slots)
@@ -530,3 +590,82 @@ def test_cofactor_peak_memory(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 192 * 1024, (condensed, peak)
+
+
+def _fresh_dense_graph():
+    # a graph of its own: the graph keeps the primes its counts find
+    return FactoredLfsr.from_strings(DENSE_FACTORS).graph()
+
+
+def test_dense_count_eliminates_each_lambda_once(monkeypatch):
+    # one elimination per λ modulo the product of the block's primes: d = 3,
+    # 4 and 6 have one λ up to inversion, d = 12 two (λ = w and w^5)
+    g = _fresh_dense_graph()
+    calls = _spy(monkeypatch, "_det_mod")
+    assert best_count(g) == DENSE_ZETA_G
+    assert [len(args[0]) for args, _ in calls] == [20, 18, 20, 18, 18]
+    assert all(det is not None and args[1] >> 62 for args, det in calls)
+
+
+def test_prime_searches_once_per_graph_and_count(monkeypatch):
+    # G and Ĝ read one list of primes p = 1 (mod 12) kept on the graph;
+    # each count's two λ = ±1 blocks read one slot-prime search
+    g = _fresh_dense_graph()
+    unity = _spy(monkeypatch, "_unity_primes")
+    slots = _spy(monkeypatch, "_slot_primes")
+    assert best_count(g) == DENSE_ZETA_G
+    assert best_count(g, condensed=True) == DENSE_ZETA_GHAT
+    assert [args for args, _ in unity] == [(12,)]
+    assert len(slots) == 2
+
+
+def _small_unity_primes(k):
+    """Primes p = 1 (mod k) from 13 up, each with a root of unity of order k."""
+    for p in itertools.count(k + 1, k):
+        if sympy.isprime(p):
+            yield p, next(z for z in range(2, p) if sympy.n_order(z, p) == k)
+
+
+def test_small_primes_take_the_prime_by_prime_fallback(monkeypatch):
+    # with M a product of primes like 13, 37 and 61, some column of some
+    # M_λ holds nonzero entries but no unit mod M
+    monkeypatch.setattr(adjacency, "_unity_primes", _small_unity_primes)
+    assert [p for p, _ in itertools.islice(_small_unity_primes(12), 5)] == [13, 37, 61, 73, 97]
+    g = _fresh_dense_graph()
+    calls = _spy(monkeypatch, "_det_mod")
+    assert best_count(g) == DENSE_ZETA_G
+    assert best_count(g, condensed=True) == DENSE_ZETA_GHAT
+    assert any(det is None for _, det in calls)
+
+
+def test_dense_count_cofactor_peak_memory():
+    # rows left unreduced hold entries below m M^2; G reads the slot and
+    # unity prime searches first, Ĝ reuses the graph's unity primes.
+    # Measured at about 120 and 51 KiB
+    g = _fresh_dense_graph()
+    assert g.is_connected()  # the neighbour table is built
+    for condensed, limit in [(False, 180), (True, 80)]:
+        tracemalloc.start()
+        try:
+            best_count(g, condensed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 1024, (condensed, peak)
+
+
+def test_unreduced_rows_stay_below_m_times_the_square_of_the_modulus():
+    # 30 rows modulo a 610-bit M: entries held below 30 M^2 peak at about
+    # 330 KiB; a pivot row left unreduced as well let them grow by M per
+    # step, to about 730 KiB
+    m = ((1 << 61) - 1) ** 10
+    rng = random.Random(30)
+    a = [[rng.randrange(m) for _ in range(30)] for _ in range(30)]
+    tracemalloc.start()
+    try:
+        det = _det_mod(a, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 480 * 1024, peak
+    assert det == int(sympy.Matrix(a).det()) % m
