@@ -19,19 +19,21 @@ The cofactor is exact, from the minor read sparsely off the graph's
 neighbour table.  The minor commutes with Φ's permutation of the
 vertices, so it splits into one block per eigenvalue λ of that
 permutation, and the blocks of the λ of one order d multiply to an
-integer Z_d.  Z_1 and Z_2 (λ = 1, -1) are integer symmetric
-determinants: one symmetric elimination per word-sized prime, each row
-packed into one integer, and CRT up to a bound on the count; the two
-read one list of primes.  Before the primes, a maximal independent set
-of the matrix (a diagonal block) is eliminated once, exactly over the
-integers: its Schur complement, scaled by the lcm of that diagonal, is
-an integer matrix, and each prime eliminates only it.  Its dense rows
-are split once into rows of signed digits, from which every prime
-packs its rows by one expression; past three digits the primes come
-from a lower limit, so the slots still cannot carry.  Each Z_d with
-d >= 3 is a square, taken by one elimination per λ modulo the product
-M of the primes its bound needs, primes that hold the d-th roots of
-unity; the graph keeps those primes for every count that reads it.
+integer Z_d.  Every block reads one list of primes, found once and
+kept on the graph: the odd primes p = 1 (mod k), k the permutation's
+order, up to the slot limit of the largest block (λ = 1), each with a
+k-th root of unity.  Z_1 and Z_2 (λ = 1, -1) are integer symmetric
+determinants: one symmetric elimination per prime, each row packed
+into one integer, and CRT up to a bound on the count.  Before the
+primes, a maximal independent set of the matrix (a diagonal block) is
+eliminated once, exactly over the integers: its Schur complement,
+scaled by the lcm of that diagonal, is an integer matrix, and each
+prime eliminates only it.  Its dense rows are split once into rows of
+signed digits, from which every prime packs its rows by one
+expression; many digits are cut narrower, so that the slots cannot
+carry at any listed prime.  Each Z_d with d >= 3 is a square, taken by
+one elimination per λ modulo the product M of the primes its bound
+needs, whose roots give the d-th roots of unity.
 On dense-count (``11,1011110010111``) the 235 rows of the minor become
 blocks of 25, 22, 20, 18, 20 and 18 rows for d = 1, 2, 3, 4, 6 and 12.
 
@@ -84,7 +86,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, count, product
 from math import gcd, lcm
 from operator import mul
@@ -416,15 +418,16 @@ class AdjacencyGraph:
     the sampler and the cofactor read one table, ``neighbours``.
     ``_phi`` is a permutation of the vertices that fixes vertex 0 and
     keeps every multiplicity, which the cofactor splits by; a built graph
-    holds the register's Φ there, a hand-built one none.  ``_roots`` keeps
-    the primes p = 1 (mod k) the cofactor has found for Φ's order k, with
-    their roots of unity, so that G and Ĝ search them once.
+    holds the register's Φ there, a hand-built one none.  ``_primes``
+    keeps the primes the cofactor has found, p = 1 (mod k) for the order
+    k of ``_phi``, with their roots of unity: every block of G and Ĝ
+    reads that one list.
     """
 
     num_vertices: int
     edges: Mapping[tuple[int, int], tuple[int, ...]]
     _phi: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    _roots: _PrimeList = field(default_factory=_PrimeList, init=False, repr=False, compare=False)
+    _primes: _PrimeList = field(default_factory=_PrimeList, init=False, repr=False, compare=False)
 
     @cached_property
     def multiplicities(self) -> dict[tuple[int, int], int]:
@@ -594,15 +597,18 @@ def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
     With S = diag(s_a), S M_λ is the Gram matrix of L on those vectors,
     Hermitian positive definite.  The λ of one order d are Galois
     conjugates, so Z_d = prod over them of det M_λ is a positive integer,
-    and the count is the product of Z_d over the orders d.  Z_1 and Z_2
-    (λ = 1, -1) are det(S M_λ) / det S, with S M_λ an integer symmetric
-    positive definite matrix: ``_spd_det`` takes it, and the two read one
-    list of slot primes.  Each Z_d with d >= 3 is taken by
-    ``_unity_det``: one elimination per λ modulo the product of primes
-    p = 1 (mod k) that passes its bound.  Those primes, with their k-th
-    roots of unity, are searched once per graph and kept on it, so G and
-    Ĝ read one list.  A graph without π has k = 1 and one block, L
-    itself.
+    and the count is the product of Z_d over the orders d.  ``_block``
+    reads M_λ off the rows for any λ.  Z_1 and Z_2 (λ = 1, -1) are
+    det(S M_λ) / det S, with S M_λ an integer symmetric positive definite
+    matrix, which ``_spd_det`` takes.  Each Z_d with d >= 3 is taken by
+    ``_unity_det``: one elimination per λ modulo the product of the
+    primes that passes its bound.  Every block reads one list of primes,
+    searched once per graph and kept on it (``_primes``): the odd primes
+    p = 1 (mod k) up to the slot limit of the λ = 1 block, largest first,
+    each with a k-th root of unity.  That block has one row per orbit, so
+    no block is larger, and every listed prime suits every packed
+    elimination, which ignores the root.  A graph without π has k = 1
+    and one block, L itself.
     """
     if not graph.is_connected():
         return 0
@@ -628,73 +634,64 @@ def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
         rows.append(row)
     k = lcm(*sizes)
     orders = sorted({d for s in sizes for d in range(1, s + 1) if s % d == 0})
-    slots = _PrimeList()
+    search = partial(_unity_primes, k, _slot_prime_limit(len(sizes)))
     total = 1
     for d in orders:
         block = [a for a, s in enumerate(sizes) if s % d == 0]
-        if d <= 2:
-            total *= _real_det(rows, block, d, sizes, slots)
-        else:
-            total *= _unity_det(rows, block, d, k, graph._roots.read(lambda: _unity_primes(k)))
+        primes = graph._primes.read(search)
+        if d > 2:
+            total *= _unity_det(rows, block, d, k, primes)
+            continue
+        # S M_λ for λ = 1 or -1: row b scaled by s_b, columns ascending
+        diag, sparse = [], []
+        for i, (a, acc) in enumerate(zip(block, _block(rows, block, d, (1, -1)))):
+            s = sizes[a]
+            diag.append(s * acc.pop(i))
+            cols = sorted(c for c, v in acc.items() if v)
+            sparse.append((cols, [s * acc[c] for c in cols]))
+        total *= _spd_det(diag, sparse, (p for p, _ in primes)) // math.prod(sizes[a] for a in block)
     return total
 
 
-def _real_det(rows, block, d: int, sizes, slots) -> int:
-    """Z_d for d = 1 or 2: det M_λ with λ = 1 or -1, the block of the orbits s_a divides.
+def _block(rows, block, d: int, powers) -> list[dict[int, int]]:
+    """M_λ off ``best_count``'s rows, for the block of the orbits d divides: per row, {column: entry}.
 
-    S M_λ is read off ``best_count``'s rows as ``_spd_det`` reads a
-    matrix: row b scaled by s_b, symmetric, columns ascending.
+    With λ^r = powers[r], M_λ[b][c] sums v λ^t over the entries (a, t, v) of row r_b, a = block[c].
     """
     at = {a: i for i, a in enumerate(block)}
-    diag, sparse = [], []
+    out = []
     for a in block:
         acc = {}
         for b, t, v in rows[a]:
-            if b in at:
-                acc[at[b]] = acc.get(at[b], 0) + (-v if t % d else v)
-        s = sizes[a]
-        diag.append(s * acc.pop(at[a]))
-        cols = sorted(c for c, v in acc.items() if v)
-        sparse.append((cols, [s * acc[c] for c in cols]))
-    return _spd_det(diag, sparse, slots) // math.prod(sizes[a] for a in block)
+            if (c := at.get(b)) is not None:
+                acc[c] = acc.get(c, 0) + v * powers[t % d]
+        out.append(acc)
+    return out
 
 
 def _unity_det(rows, block, d: int, k: int, primes) -> int:
     """Z_d for d >= 3: the product of det M_λ over the λ of order d, the block of the orbits d divides.
 
-    Each entry of M_λ is a polynomial in λ modulo λ^d - 1, from
-    ``best_count``'s rows.  S M_λ and S M_1/λ are each other's
-    transposes, so λ and 1/λ give one determinant and Z_d = Y_d^2, with
-    Y_d the product over the λ = w^j, 0 < j < d/2, j prime to d, for one
-    λ = w of order d: a positive integer (the norm of det M_w from the
-    real subfield).  Hadamard's inequality for S M_λ gives
-    det M_λ <= prod_b M_λ[b][b], and |M_λ[b][b]| is at most L[r_b, r_b]
-    plus the |L[r_b, π^t(r_b)]|, t != 0; so Y_d is below that product
-    raised to the number of j.
+    S M_λ and S M_1/λ are each other's transposes, so λ and 1/λ give
+    one determinant and Z_d = Y_d^2, with Y_d the product over the
+    λ = w^j, 0 < j < d/2, j prime to d, for one λ = w of order d: a
+    positive integer (the norm of det M_w from the real subfield).
+    Hadamard's inequality for S M_λ gives det M_λ <= prod_b M_λ[b][b],
+    and |M_λ[b][b]| is at most L[r_b, r_b] plus the |L[r_b, π^t(r_b)]|,
+    t != 0; so Y_d is below that product raised to the number of j.
 
     ``primes`` yields primes p = 1 (mod k), each with a k-th root of
-    unity z; they are taken until their product M passes the bound.
-    The roots z^(k/d) mod p combine by CRT into one w of order d modulo
-    every p, so each M_λ is built once modulo M and eliminated once
-    (``_det_mod``), and Y_d is the product of those determinants mod M:
-    exact, since Y_d is below the bound and so below M.  Should an
-    elimination meet a column with no unit mod M, that λ is eliminated
-    prime by prime instead, and its residues combined by CRT.
+    unity z; they are taken until their product M passes the bound, and
+    running out first raises ArithmeticError.  The roots z^(k/d) mod p
+    combine by CRT into one w of order d modulo every p, so each M_λ is
+    built once modulo M and eliminated once (``_det_mod``), and Y_d is
+    the product of those determinants mod M: exact, since Y_d is below
+    the bound and so below M.  Should an elimination meet a column with
+    no unit mod M, that λ is eliminated prime by prime instead, and its
+    residues combined by CRT.
     """
-    at = {a: i for i, a in enumerate(block)}
     js = [j for j in range(1, (d + 1) // 2) if gcd(j, d) == 1]
-    coeffs, bound = [], 1
-    for a in block:
-        acc, top = {}, 0
-        for b, t, v in rows[a]:
-            if b == a:
-                top += abs(v)
-            if b in at:
-                key = (at[b], t % d)
-                acc[key] = acc.get(key, 0) + v
-        coeffs.append([(c, r, v) for (c, r), v in acc.items() if v])
-        bound *= top
-    bound **= len(js)
+    bound = math.prod(sum(abs(v) for b, _, v in rows[a] if b == a) for a in block) ** len(js)
     ps, w, modulus = [], 0, 1
     for p, z in primes:
         w += modulus * ((pow(z, k // d, p) - w) * pow(modulus, -1, p) % p)
@@ -702,17 +699,18 @@ def _unity_det(rows, block, d: int, k: int, primes) -> int:
         modulus *= p
         if modulus > bound:
             break
+    else:
+        raise ArithmeticError(f"the primes ran out below the bound of a {len(block)}-row block")
     m = len(block)
     y = 1
     for j in js:
         lam = pow(w, j, modulus)
-        powers = [pow(lam, r, modulus) for r in range(d)]
         mat = []
-        for entries in coeffs:
+        for acc in _block(rows, block, d, [pow(lam, r, modulus) for r in range(d)]):
             row = [0] * m
-            for c, r, v in entries:
-                row[c] += v * powers[r]
-            mat.append([x % modulus for x in row])
+            for c, v in acc.items():
+                row[c] = v % modulus
+            mat.append(row)
         det = _det_mod(mat, modulus)
         if det is None:
             det, mod = 0, 1
@@ -758,27 +756,28 @@ def _det_mod(rows: list[list[int]], m: int) -> int | None:
     return det
 
 
-def _unity_primes(k: int):
-    """Primes p = 1 (mod k) below 2^62, largest first, each with a k-th root of unity of order k."""
+def _unity_primes(k: int, top: int):
+    """Odd primes p = 1 (mod k) up to top, largest first, each with a k-th root of unity of order k."""
     qs = prime_factors(k)
-    p = ((1 << 62) - 2) // k * k + 1
-    while p > k:
+    step = lcm(2, k)
+    p = (top - 1) // step * step + 1
+    while p > 1:
         if _is_prime(p):
             for g in count(2):
                 z = pow(g, (p - 1) // k, p)
                 if all(pow(z, k // q, p) != 1 for q in qs):
                     yield p, z
                     break
-        p -= k
+        p -= step
 
 
 # Packed elimination: row i of the upper triangle is one int holding
 # columns i..m-1 in 64-bit slots, slot 0 lowest.  A slot starts at most
 # at the negative-entry offset of ``_spd_det`` (a residue, not
-# necessarily reduced), below 2 L^2 for up to three digits, L the slot
-# limit, and gains less than L^2 from each of at most m - 1 pivots
-# before its row is reduced as a pivot, so L^2 (m + 2) < 2^64 keeps
-# every slot from carrying into the next.
+# necessarily reduced), below 2 L^2 at any prime up to the slot limit
+# L (``_digit_width``), and gains less than L^2 from each of at most
+# m - 1 pivots before its row is reduced as a pivot, so L^2 (m + 2) <
+# 2^64 keeps every slot from carrying into the next.
 _SLOT_BITS = 64
 _SLOT_MAX = (1 << _SLOT_BITS) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -789,26 +788,26 @@ def _slot_prime_limit(m: int) -> int:
     return math.isqrt(_SLOT_MAX // (m + 2))
 
 
-# Miller-Rabin bases: 2, 7, 61 are exact below 4,759,123,141 and the
-# primes up to 37 below 3,317,044,064,679,887,385,961,981
-_SMALL_BASES, _SMALL_LIMIT = (2, 7, 61), 4_759_123_141
-_BASES, _LIMIT = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), 3_317_044_064_679_887_385_961_981
+# Miller-Rabin to the bases 2, 7 and 61 is exact below 4,759,123,141,
+# which is above every slot limit; trial division by small primes first
+_BASES, _LIMIT = (2, 7, 61), 4_759_123_141
+_TRIAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 61)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n below 3.3 * 10^24."""
+    """Deterministic Miller-Rabin, exact for n below 4,759,123,141."""
     if n >= _LIMIT:
         raise ValueError(f"{n} is past the range where the test is exact")
     if n < 2:
         return False
-    for q in _BASES + (61,):
+    for q in _TRIAL:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
         s += 1
-    for a in _SMALL_BASES if n < _SMALL_LIMIT else _BASES:
+    for a in _BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -819,17 +818,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _slot_primes(m: int):
-    """Odd primes up to the slot limit of an m x m elimination, largest first."""
-    p = _slot_prime_limit(m)
-    if p % 2 == 0:
-        p -= 1
-    while p > 2:
-        if _is_prime(p):
-            yield p
-        p -= 2
 
 
 def _pack(slots: list[int]) -> int:
@@ -935,7 +923,19 @@ def _independent_schur(diag: list[int], rows: list) -> tuple[int, int, list]:
     return lam, math.prod(diag[k] for k in indep), upper
 
 
-def _spd_det(diag: list[int], rows: list, slots: _PrimeList | None = None) -> int:
+def _digit_width(bits: int, limit: int) -> tuple[int, int]:
+    """(shift, ndigits) to split entries of that many bits into signed base-2^shift digits.
+
+    ndigits 2^shift is at most 2 limit, which keeps ``_spd_det``'s
+    offset below 2 limit^2 at every prime up to the limit.  2^shift
+    starts at the largest power of two at most limit / 2, which fits at
+    least four digits, and narrows only when more do not fit.
+    """
+    shift = next(s for s in count(limit.bit_length() - 2, -1) if -(-bits // s) << s <= 2 * limit)
+    return shift, max(1, -(-bits // shift))
+
+
+def _spd_det(diag: list[int], rows: list, primes) -> int:
     """Exact determinant of a symmetric positive semidefinite integer matrix.
 
     The matrix comes as its diagonal and, per row, the columns and the
@@ -944,7 +944,9 @@ def _spd_det(diag: list[int], rows: list, slots: _PrimeList | None = None) -> in
     diagonal; residues modulo primes whose product exceeds that bound
     are combined by CRT into the unique value below that product.  A
     zero on the diagonal of a semidefinite matrix lies on a zero row, so
-    it gives 0 at once.
+    it gives 0 at once.  ``primes`` yields odd primes up to the slot
+    limit of the matrix's size; running out before the bound raises
+    ArithmeticError.
 
     A maximal independent set I is eliminated once, exactly over the
     integers (``_independent_schur``), so each prime eliminates only the
@@ -961,9 +963,6 @@ def _spd_det(diag: list[int], rows: list, slots: _PrimeList | None = None) -> in
     minor is 0; a semidefinite matrix with a singular principal block is
     singular (x^T A x = 0 forces A x = 0), so then det A = 0.  A singular
     matrix meets a vanishing pivot at every prime, so the loop ends.
-
-    ``slots`` lets several matrices read one search: the first begins it
-    at its own slot limit, and each keeps the primes below its own.
     """
     bound = math.prod(diag)
     if not bound:
@@ -973,24 +972,19 @@ def _spd_det(diag: list[int], rows: list, slots: _PrimeList | None = None) -> in
     s_diag = [row[0] for row in upper]
     if 0 in s_diag:
         return 0
-    # lam S's entries as signed base-2^shift digits, 2^shift at most half
-    # the slot limit L: c_t = 2^(shift t) mod p recombines them, and the
-    # least multiple of p at or above 2^shift sum(c_t), added at each
-    # negative entry, leaves every slot a residue in [0, that offset].
-    # The offset is below 2^shift ndigits p + p: below 2 L^2 for up to
-    # three digits, and covered past three by the limit of
-    # ndigits (ndigits - 3) more rows
-    shift = _slot_prime_limit(r).bit_length() - 2
+    # lam S's entries as signed base-2^shift digits: c_t = 2^(shift t)
+    # mod p recombines them, and the least multiple of p at or above
+    # 2^shift sum(c_t), added at each negative entry, leaves every slot a
+    # residue in [0, that offset], below 2^shift ndigits (p - 1) + p and
+    # so below 2 L^2 for p up to the slot limit L of |R| rows
+    limit = _slot_prime_limit(r)
     top = max((abs(v) for row in upper for v in row), default=0)
-    ndigits = max(1, -(-top.bit_length() // shift))
+    shift, ndigits = _digit_width(top.bit_length(), limit)
     split = [_digit_rows(upper.pop(), shift, ndigits) for _ in range(r)][::-1]
     x, modulus, vanished = 0, 1, {}
-    m = r + max(0, ndigits - 3) * ndigits
-    limit = _slot_prime_limit(m)
-    found = (slots or _PrimeList()).read(lambda: _slot_primes(m))
-    primes = (p for p in found if p <= limit)
-    while modulus <= bound:
-        p = next(primes)
+    for p in primes:
+        if p > limit:
+            raise ValueError(f"prime {p} is past the slot limit {limit}")
         if lam % p == 0:
             continue
         cs = [pow(2, shift * t, p) for t in range(ndigits)]
@@ -1005,7 +999,9 @@ def _spd_det(diag: list[int], rows: list, slots: _PrimeList | None = None) -> in
         det = det * dprod * pow(lam, -r, p) % p
         x += modulus * ((det - x) * pow(modulus, -1, p) % p)
         modulus *= p
-    return x
+        if modulus > bound:
+            return x
+    raise ArithmeticError(f"the primes ran out below the bound of a {len(diag)}-row matrix")
 
 
 def int_log2(n: int) -> float:

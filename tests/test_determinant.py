@@ -24,7 +24,8 @@ primes and modulo products of primes, where it may find a column
 without a unit; dense-count must take one elimination per λ modulo the
 product of its primes, search its primes once per graph, come out
 right through the prime-by-prime fallback when those primes are small,
-and stay within a peak memory bound.
+and stay within a peak memory bound.  A list of primes too short for
+its bound raises, in both engines.
 """
 
 import itertools
@@ -43,12 +44,13 @@ from cyclejoin.adjacency import (
     AdjacencyGraph,
     _independent_schur,
     _det_mod,
+    _digit_width,
     _is_prime,
     _pack,
     _slot_prime_limit,
-    _slot_primes,
     _spd_det,
     _spd_det_mod,
+    _unity_det,
     _unity_primes,
     _unpack,
     best_count,
@@ -114,8 +116,14 @@ def _sparse(a):
     return diag, rows
 
 
-def _det(a):
-    return _spd_det(*_sparse(a))
+def _listed_primes(m):
+    """The primes best_count lists for a λ = 1 block of m rows and k = 1, largest first."""
+    return (p for p, _ in _unity_primes(1, _slot_prime_limit(m)))
+
+
+def _det(a, primes=None):
+    """_spd_det of a dense matrix, with the primes best_count would list for it by default."""
+    return _spd_det(*_sparse(a), _listed_primes(len(a)) if primes is None else primes)
 
 
 def _check_against_references(graph, with_fraction=True):
@@ -286,9 +294,7 @@ def _reduced_rows(a, p):
     ],
 )
 def test_unlucky_prime_and_large_entries(path_weights):
-    m = 5
-    primes = _slot_primes(m)
-    p1, p2 = next(primes), next(primes)
+    p1, p2 = itertools.islice(_listed_primes(5), 2)
     vanishing, weights = path_weights(p1, p2)
     a = _weighted_path_minor(weights)
     assert max(abs(v) for row in a for v in row) >= p2
@@ -297,25 +303,25 @@ def test_unlucky_prime_and_large_entries(path_weights):
     assert _det(a) == expected == bareiss_det(a) == _det_fraction(a)
 
 
-def _digit_prime_limit(r, ndigits):
-    """The slot limit under which _spd_det takes its primes for r rows of ndigits digits."""
-    return _slot_prime_limit(r + max(0, ndigits - 3) * ndigits)
-
-
 def test_slot_limit_is_the_largest_safe_modulus():
     for r in [1, 2, 3, 10, 31, 118, 235, 315, 1000, 100_000]:
         limit = _slot_prime_limit(r)
         assert limit * limit * (r + 2) < 1 << 64 <= (limit + 1) ** 2 * (r + 2)
-        primes = list(itertools.islice(_slot_primes(r), 5))
+        primes = list(itertools.islice(_listed_primes(r), 5))
         assert primes == sorted(primes, reverse=True) and primes[0] <= limit
         assert all(sympy.isprime(q) for q in primes)
         assert sympy.prevprime(limit + 1) == primes[0]
-        shift = limit.bit_length() - 2
-        for ndigits in [1, 2, 3, 4, 5, 7, 10, 11, 31, 100]:
-            top = _digit_prime_limit(r, ndigits)
-            assert top == limit or ndigits > 3
+        widest = limit.bit_length() - 2
+        for wide_digits in [1, 2, 3, 4, 5, 7, 10, 11, 31, 100]:
+            bits = wide_digits * widest
+            shift, ndigits = _digit_width(bits, limit)
+            assert (ndigits - 1) * shift < bits <= ndigits * shift
+            # the widest digits hold at least four, and past them the width
+            # narrows only as far as the slots need
+            assert shift == widest or wide_digits > 4
+            assert shift == widest or -(-bits // (shift + 1)) << (shift + 1) > 2 * limit
             # the largest prime, and the largest below 2^shift
-            for p in {sympy.prevprime(top + 1), sympy.prevprime(min(top, 1 << shift))}:
+            for p in {sympy.prevprime(limit + 1), sympy.prevprime(1 << shift)}:
                 # worst start: every digit 2^shift - 1 and every c_t = p - 1;
                 # a negative entry starts at most at the offset
                 load = sum([p - 1] * ndigits)
@@ -331,33 +337,32 @@ def test_is_prime_matches_sympy():
         assert not _is_prime(n)
     for n in range(5000):
         assert _is_prime(n) == sympy.isprime(n), n
-    # 4759123141 is the first composite the bases 2, 7, 61 pass, and
-    # 3825123056546413051 passes the primes up to 23
+    # every listed prime is at most the largest slot limit, below
+    # 4759123141, the first composite the bases 2, 7, 61 pass
     limit = _slot_prime_limit(0)
     assert limit < 4759123141
     for n in range(limit - 3000, limit + 1):
         assert _is_prime(n) == sympy.isprime(n), n
-    for n in [4759123141, 3825123056546413051]:
-        assert not _is_prime(n)
-    for n in range(4759123141 - 500, 4759123141 + 500):
+    for n in range(4759123141 - 500, 4759123141):
         assert _is_prime(n) == sympy.isprime(n), n
     rng = random.Random(62)
-    drawn = [rng.getrandbits(62) | 1 for _ in range(3000)]
-    drawn += [sympy.prevprime(1 << 62), sympy.nextprime(1 << 61), (1 << 62) - 1]
-    for n in drawn:
+    for n in [rng.randrange(4759123141) | 1 for _ in range(3000)]:
         assert _is_prime(n) == sympy.isprime(n), n
-    with pytest.raises(ValueError, match="exact"):
-        _is_prime(1 << 82)
+    # at and above it the test is not exact, and says so
+    for n in [4759123141, 4759123143, 3825123056546413051, sympy.prevprime(1 << 62), 1 << 82]:
+        with pytest.raises(ValueError, match="exact"):
+            _is_prime(n)
 
 
-@pytest.mark.parametrize("k", [3, 4, 6, 12, 60])
+@pytest.mark.parametrize("k", [1, 3, 4, 6, 12, 60])
 def test_unity_primes_hold_roots_of_the_order(k):
-    primes = list(itertools.islice(_unity_primes(k), 4))
+    top = _slot_prime_limit(235)
+    primes = list(itertools.islice(_unity_primes(k, top), 4))
     assert [p for p, _ in primes] == sorted((p for p, _ in primes), reverse=True)
     for p, z in primes:
-        assert p < 1 << 62 and p % k == 1 and sympy.isprime(p)
+        assert p <= top and (p - 1) % k == 0 and sympy.isprime(p) and p % 2
         assert sympy.n_order(z, p) == k
-    assert primes[0][0] == max(p for p in range((1 << 62) - 60 * k, 1 << 62) if p % k == 1 and sympy.isprime(p))
+    assert primes[0][0] == max(p for p in range(top - 120 * k, top + 1) if (p - 1) % k == 0 and sympy.isprime(p) and p % 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,8 +490,8 @@ def test_zero_diagonal_gives_zero(a):
 
 
 def test_prime_dividing_the_lcm_is_skipped(monkeypatch):
-    # I = {0} with d_0 = p1, the first prime for |R| = 2, so lam = p1
-    p1, p2 = itertools.islice(_slot_primes(2), 2)
+    # I = {0} with d_0 = p1, the first prime listed for 3 rows, so lam = p1
+    p1, p2 = itertools.islice(_listed_primes(3), 2)
     a = [[p1, -1, -1], [-1, 3, -1], [-1, -1, 3]]
     lam, dprod, upper = _schur(a)
     assert (lam, dprod, len(upper)) == (p1, p1, 2)
@@ -500,7 +505,7 @@ def test_unlucky_prime_is_skipped_through_spd_det(monkeypatch):
     # I = {0, 2} with unit diagonal leaves lam S = [[p1, -1], [-1, 2]]:
     # its first leading minor is p1, so p1 vanishes at pivot 0 and is
     # skipped, and p1 <= p1 (the block's diagonal) proves nothing
-    p1 = next(_slot_primes(2))
+    p1 = next(_listed_primes(4))
     a = [[1, -1, 0, 0], [-1, p1 + 1, 0, -1], [0, 0, 1, -1], [0, -1, -1, 3]]
     assert _schur(a) == (1, 1, [[p1, -1], [2]])
     calls = _spy(monkeypatch, "_spd_det_mod")
@@ -519,20 +524,23 @@ def test_scaled_schur_entries_past_the_modulus(e, past_three, monkeypatch):
     lam, _, upper = _schur(a)
     assert lam == math.lcm(3 + weights[1], 5 + weights[3], 7)
     top = max(abs(v) for row in upper for v in row)
-    assert (top >= next(_slot_primes(2))) == (e >= 30)
+    p1 = next(_listed_primes(5))
+    assert (top >= p1) == (e >= 30)
     with pytest.MonkeyPatch.context() as mp:
         split = _spy(mp, "_digit_rows")
-        limits = _spy(mp, "_slot_primes")
+        calls = _spy(mp, "_spd_det_mod")
         assert _det(a) == math.prod(weights) == bareiss_det(a)
-    (ndigits,) = {args[2] for args, _ in split}
-    assert ndigits == -(-top.bit_length() // 29) and (ndigits > 3) == past_three
+    ((shift, ndigits),) = {args[1:] for args, _ in split}
+    assert ndigits == -(-top.bit_length() // shift) and (ndigits > 3) == past_three
     assert ndigits >= 10 or e < 300
-    # past three digits the primes come from a smaller slot limit
-    ((m,),) = [args for args, _ in limits]
-    assert _slot_prime_limit(m) == _digit_prime_limit(2, ndigits)
+    # past three digits the primes stay at the matrix's own limit, and at
+    # eleven the width shrinks instead, from 2^29 to 2^28, until the
+    # offset fits the slots at R's slot limit
+    assert calls[0][0][1] == p1
+    assert shift == (28 if e == 300 else 29)
+    assert ndigits << shift <= 2 * _slot_prime_limit(2)
     # and with primes 3, 5, 7, ..., all below 2^shift
-    monkeypatch.setattr(adjacency, "_slot_primes", lambda m: filter(sympy.isprime, itertools.count(3)))
-    assert _det(a) == math.prod(weights)
+    assert _det(a, filter(sympy.isprime, itertools.count(3))) == math.prod(weights)
 
 
 @st.composite
@@ -556,9 +564,7 @@ def test_drawn_semidefinite_matrices_match_bareiss(a):
 def test_drawn_semidefinite_matrices_match_bareiss_with_small_primes(a):
     # primes 3, 5, 7, ...: about half of them meet a vanishing pivot, so
     # the skip rule carries the result
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(adjacency, "_slot_primes", lambda m: filter(sympy.isprime, itertools.count(3)))
-        assert _det(a) == bareiss_det(a)
+    assert _det(a, filter(sympy.isprime, itertools.count(3))) == bareiss_det(a)
 
 
 def test_dense_count_splits_into_one_block_per_eigenvalue_order(monkeypatch):
@@ -566,11 +572,25 @@ def test_dense_count_splits_into_one_block_per_eigenvalue_order(monkeypatch):
     # vertex 0), 2 (two), 6 (two) and 12 (eighteen); each order d takes
     # the orbits whose size it divides, and the Z_d multiply to the count
     g = FactoredLfsr.from_strings(DENSE_FACTORS).graph()
+    sizes, seen = [], {0}
+    for v in range(1, g.num_vertices):
+        if v not in seen:
+            sizes.append(0)
+            while v not in seen:
+                seen.add(v)
+                v = g._phi[v]
+                sizes[-1] += 1
+    assert sorted(sizes) == [1] * 3 + [2] * 2 + [6] * 2 + [12] * 18
     for condensed, expected in [(False, DENSE_ZETA_G), (True, DENSE_ZETA_GHAT)]:
-        real = _spy(monkeypatch, "_real_det")
+        real = _spy(monkeypatch, "_spd_det")
         unity = _spy(monkeypatch, "_unity_det")
         assert best_count(g, condensed) == expected
-        blocks = [(args[2], len(args[1]), z) for args, z in real + unity]
+        # Z_1 and Z_2 are det(S M_λ) / det S, S the sizes of the orbits d divides
+        blocks = [
+            (d, len(args[0]), det // math.prod(s for s in sizes if s % d == 0))
+            for d, (args, det) in zip((1, 2), real, strict=True)
+        ]
+        blocks += [(args[2], len(args[1]), z) for args, z in unity]
         assert [(d, m) for d, m, _ in blocks] == [(1, 25), (2, 22), (3, 20), (4, 18), (6, 20), (12, 18)]
         assert math.prod(z for _, _, z in blocks) == expected
 
@@ -608,19 +628,38 @@ def test_dense_count_eliminates_each_lambda_once(monkeypatch):
 
 
 def test_prime_searches_once_per_graph_and_count(monkeypatch):
-    # G and Ĝ read one list of primes p = 1 (mod 12) kept on the graph;
-    # each count's two λ = ±1 blocks read one slot-prime search
+    # every block of G and Ĝ reads one list of primes p = 1 (mod 12), kept
+    # on the graph and searched once, down from the slot limit of the
+    # λ = 1 block of 25 rows
     g = _fresh_dense_graph()
-    unity = _spy(monkeypatch, "_unity_primes")
-    slots = _spy(monkeypatch, "_slot_primes")
+    top = _slot_prime_limit(25)
+    search, is_prime = adjacency._unity_primes, adjacency._is_prime
+    searches, listed, tested = [], [], []
+
+    def spy_search(*args):
+        searches.append(args)
+        for p, z in search(*args):
+            listed.append(p)
+            yield p, z
+
+    def spy_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(adjacency, "_unity_primes", spy_search)
+    monkeypatch.setattr(adjacency, "_is_prime", spy_is_prime)
     assert best_count(g) == DENSE_ZETA_G
     assert best_count(g, condensed=True) == DENSE_ZETA_GHAT
-    assert [args for args, _ in unity] == [(12,)]
-    assert len(slots) == 2
+    assert searches == [(12, top)]
+    assert listed and max(listed) <= top
+    # and no other search: the numbers tested are that search's candidates,
+    # from the top down to the last prime it listed
+    assert tested == list(range((top - 1) // 12 * 12 + 1, min(listed) - 1, -12))
+    assert not hasattr(adjacency, "_slot_primes") and not hasattr(adjacency, "_real_det")
 
 
-def _small_unity_primes(k):
-    """Primes p = 1 (mod k) from 13 up, each with a root of unity of order k."""
+def _small_unity_primes(k, top):
+    """Primes p = 1 (mod k) from 13 up, each with a root of unity of order k; top is not read."""
     for p in itertools.count(k + 1, k):
         if sympy.isprime(p):
             yield p, next(z for z in range(2, p) if sympy.n_order(z, p) == k)
@@ -628,9 +667,10 @@ def _small_unity_primes(k):
 
 def test_small_primes_take_the_prime_by_prime_fallback(monkeypatch):
     # with M a product of primes like 13, 37 and 61, some column of some
-    # M_λ holds nonzero entries but no unit mod M
+    # M_λ holds nonzero entries but no unit mod M; the λ = ±1 blocks read
+    # the same small primes
     monkeypatch.setattr(adjacency, "_unity_primes", _small_unity_primes)
-    assert [p for p, _ in itertools.islice(_small_unity_primes(12), 5)] == [13, 37, 61, 73, 97]
+    assert [p for p, _ in itertools.islice(_small_unity_primes(12, None), 5)] == [13, 37, 61, 73, 97]
     g = _fresh_dense_graph()
     calls = _spy(monkeypatch, "_det_mod")
     assert best_count(g) == DENSE_ZETA_G
@@ -639,12 +679,11 @@ def test_small_primes_take_the_prime_by_prime_fallback(monkeypatch):
 
 
 def test_dense_count_cofactor_peak_memory():
-    # rows left unreduced hold entries below m M^2; G reads the slot and
-    # unity prime searches first, Ĝ reuses the graph's unity primes.
-    # Measured at about 120 and 51 KiB
+    # rows left unreduced hold entries below m M^2; G searches the graph's
+    # primes, Ĝ reuses them.  Measured at about 88 and 51 KiB
     g = _fresh_dense_graph()
     assert g.is_connected()  # the neighbour table is built
-    for condensed, limit in [(False, 180), (True, 80)]:
+    for condensed, limit in [(False, 135), (True, 80)]:
         tracemalloc.start()
         try:
             best_count(g, condensed)
@@ -669,3 +708,20 @@ def test_unreduced_rows_stay_below_m_times_the_square_of_the_modulus():
         tracemalloc.stop()
     assert peak < 480 * 1024, peak
     assert det == int(sympy.Matrix(a).det()) % m
+
+
+def test_running_out_of_primes_raises():
+    # lam S = 3 (4 - 1/3) = 11 after the independent set {0}; the bound is 12
+    a = [[3, -1], [-1, 4]]
+    with pytest.raises(ArithmeticError, match="ran out"):
+        _det(a, [5])
+    assert _det(a, [5, 7]) == 11
+    # and a prime past the slot limit of |R| rows would let slots carry
+    with pytest.raises(ValueError, match="slot limit"):
+        _det(a, [sympy.nextprime(_slot_prime_limit(1))])
+    # one orbit of size 3 joined to itself: M_λ = 5 - λ - λ^2 = 6 for λ of
+    # order 3, bounded by 7; 2 and 3 are cube roots of unity mod 7 and 13
+    rows = [[(0, 0, 5), (0, 1, -1), (0, 2, -1)]]
+    with pytest.raises(ArithmeticError, match="ran out"):
+        _unity_det(rows, [0], 3, 3, iter([(7, 2)]))
+    assert _unity_det(rows, [0], 3, 3, iter([(7, 2), (13, 3)])) == 36
