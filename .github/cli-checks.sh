@@ -15,7 +15,13 @@ check "Count at psi=236 through the blocks of Φ"
 python -m cyclejoin count --factors 11,1011110010111 | grep "^zeta_G    : 1511175496145308605557648757787611722721695342358688" > /dev/null
 
 check "Count at n=20, psi=280, as a guard on the graph build"
-timeout 60 python -m cyclejoin count --factors 111,1011,10011,100101,1000011
+typed=$(timeout 60 python -m cyclejoin count --factors 111,1011,10011,100101,1000011)
+echo "$typed"
+
+check "Count at psi=280 with the factors reversed: the same zeta_G and zeta_Ghat"
+out=$(timeout 60 python -m cyclejoin count --factors 1000011,100101,10011,1011,111)
+test "$(echo "$out" | grep "^zeta_")" = "$(echo "$typed" | grep "^zeta_")"
+test "$(echo "$out" | grep -c "^zeta_")" -eq 2
 
 check "Count at psi=316, one factor, through the blocks of Φ (36 rows at most of 315)"
 out=$(timeout 60 python -m cyclejoin count --factors 1111111111111)

@@ -15,11 +15,12 @@ one factor this is the identity (i, j) = (2i, 2j) of cyclotomic
 numbers.  The graph build counts one cycle pair per Φ-orbit and files
 that count for the rest of the orbit.
 
-The cofactor is exact, from the minor read sparsely off the graph's
-neighbour table.  The minor commutes with Φ's permutation of the
-vertices, so it splits into one block per eigenvalue λ of that
-permutation, and the blocks of the λ of one order d multiply to an
-integer Z_d.  Every block reads one list of primes, found once and
+The cofactor is exact, from the minor read off the graph's neighbour
+table.  The minor commutes with Φ's permutation of the vertices, so it
+splits into one block per eigenvalue λ of that permutation, and the
+blocks of the λ of one order d multiply to an integer Z_d.  Each block
+is built as dense integer rows, which both engines below take as they
+come.  Every block reads one list of primes, found once and
 kept on the graph: the odd primes p = 1 (mod k), k the permutation's
 order, up to the slot limit of the largest block (λ = 1), each with a
 k-th root of unity.  Z_1 and Z_2 (λ = 1, -1) are integer symmetric
@@ -33,7 +34,8 @@ signed digits, from which every prime packs its rows by one
 expression; many digits are cut narrower, so that the slots cannot
 carry at any listed prime.  Each Z_d with d >= 3 is a square, taken by
 one elimination per λ modulo the product M of the primes its bound
-needs, whose roots give the d-th roots of unity.
+needs, whose roots give the d-th roots of unity; a pivot that is not a
+unit mod M splits M in two, and each part eliminates the rows left.
 On dense-count (``11,1011110010111``) the 235 rows of the minor become
 blocks of 25, 22, 20, 18, 20 and 18 rows for d = 1, 2, 3, 4, 6 and 12.
 
@@ -581,11 +583,12 @@ def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
     spanning-tree count of the condensed graph.  A disconnected graph
     has none.
 
-    The minor L is read off the neighbour table, never formed densely:
-    vertex 0 is dropped, and each other vertex gives a diagonal entry,
-    its weighted degree (for the condensed graph, its neighbour count),
-    and one entry per neighbour.  For a connected graph L is symmetric
-    positive definite.
+    The minor L is never formed whole: vertex 0 is dropped, and the row
+    of each orbit's first vertex below is read off the neighbour table
+    as a diagonal entry, its weighted degree (for the condensed graph,
+    its neighbour count), and one entry per neighbour.  Only the blocks
+    built from those rows are dense.  For a connected graph L is
+    symmetric positive definite.
 
     L commutes with the graph's permutation π (``_phi``), which fixes
     vertex 0, so it splits into one block per eigenvalue of π.  Write
@@ -598,9 +601,10 @@ def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
     Hermitian positive definite.  The λ of one order d are Galois
     conjugates, so Z_d = prod over them of det M_λ is a positive integer,
     and the count is the product of Z_d over the orders d.  ``_block``
-    reads M_λ off the rows for any λ.  Z_1 and Z_2 (λ = 1, -1) are
-    det(S M_λ) / det S, with S M_λ an integer symmetric positive definite
-    matrix, which ``_spd_det`` takes.  Each Z_d with d >= 3 is taken by
+    reads M_λ off the rows for any λ, as dense rows.  Z_1 and Z_2
+    (λ = 1, -1) are det(S M_λ) / det S, with S M_λ an integer symmetric
+    positive definite matrix: ``_block``'s rows, row b scaled by s_b, go
+    to ``_spd_det`` as they are.  Each Z_d with d >= 3 is taken by
     ``_unity_det``: one elimination per λ modulo the product of the
     primes that passes its bound.  Every block reads one list of primes,
     searched once per graph and kept on it (``_primes``): the odd primes
@@ -642,30 +646,27 @@ def best_count(graph: AdjacencyGraph, condensed: bool = False) -> int:
         if d > 2:
             total *= _unity_det(rows, block, d, k, primes)
             continue
-        # S M_λ for λ = 1 or -1: row b scaled by s_b, columns ascending
-        diag, sparse = [], []
-        for i, (a, acc) in enumerate(zip(block, _block(rows, block, d, (1, -1)))):
-            s = sizes[a]
-            diag.append(s * acc.pop(i))
-            cols = sorted(c for c, v in acc.items() if v)
-            sparse.append((cols, [s * acc[c] for c in cols]))
-        total *= _spd_det(diag, sparse, (p for p, _ in primes)) // math.prod(sizes[a] for a in block)
+        # S M_λ for λ = 1 or -1: row b scaled by s_b
+        sm = [[sizes[a] * v for v in row] for a, row in zip(block, _block(rows, block, d, (1, -1)))]
+        total *= _spd_det(sm, (p for p, _ in primes)) // math.prod(sizes[a] for a in block)
     return total
 
 
-def _block(rows, block, d: int, powers) -> list[dict[int, int]]:
-    """M_λ off ``best_count``'s rows, for the block of the orbits d divides: per row, {column: entry}.
+def _block(rows, block, d: int, powers) -> list[list[int]]:
+    """M_λ off ``best_count``'s rows, for the block of the orbits d divides, as dense rows.
 
-    With λ^r = powers[r], M_λ[b][c] sums v λ^t over the entries (a, t, v) of row r_b, a = block[c].
+    With λ^r = powers[r], M_λ[b][c] sums v λ^t over the entries (a, t, v)
+    of row r_b, a = block[c].  The sums are not reduced, whatever the
+    powers are.
     """
     at = {a: i for i, a in enumerate(block)}
     out = []
     for a in block:
-        acc = {}
+        row = [0] * len(block)
         for b, t, v in rows[a]:
             if (c := at.get(b)) is not None:
-                acc[c] = acc.get(c, 0) + v * powers[t % d]
-        out.append(acc)
+                row[c] += v * powers[t % d]
+        out.append(row)
     return out
 
 
@@ -684,70 +685,53 @@ def _unity_det(rows, block, d: int, k: int, primes) -> int:
     unity z; they are taken until their product M passes the bound, and
     running out first raises ArithmeticError.  The roots z^(k/d) mod p
     combine by CRT into one w of order d modulo every p, so each M_λ is
-    built once modulo M and eliminated once (``_det_mod``), and Y_d is
-    the product of those determinants mod M: exact, since Y_d is below
-    the bound and so below M.  Should an elimination meet a column with
-    no unit mod M, that λ is eliminated prime by prime instead, and its
-    residues combined by CRT.
+    built once, from the powers of λ mod M, and eliminated once modulo M
+    (``_det_mod``), and Y_d is the product of those determinants mod M:
+    exact, since Y_d is below the bound and so below M.
     """
     js = [j for j in range(1, (d + 1) // 2) if gcd(j, d) == 1]
     bound = math.prod(sum(abs(v) for b, _, v in rows[a] if b == a) for a in block) ** len(js)
-    ps, w, modulus = [], 0, 1
+    w, modulus = 0, 1
     for p, z in primes:
         w += modulus * ((pow(z, k // d, p) - w) * pow(modulus, -1, p) % p)
-        ps.append(p)
         modulus *= p
         if modulus > bound:
             break
     else:
         raise ArithmeticError(f"the primes ran out below the bound of a {len(block)}-row block")
-    m = len(block)
     y = 1
     for j in js:
         lam = pow(w, j, modulus)
-        mat = []
-        for acc in _block(rows, block, d, [pow(lam, r, modulus) for r in range(d)]):
-            row = [0] * m
-            for c, v in acc.items():
-                row[c] = v % modulus
-            mat.append(row)
-        det = _det_mod(mat, modulus)
-        if det is None:
-            det, mod = 0, 1
-            for p in ps:
-                res = _det_mod([[x % p for x in row] for row in mat], p)
-                det += mod * ((res - det) * pow(mod, -1, p) % p)
-                mod *= p
-        y = y * det % modulus
+        mat = _block(rows, block, d, [pow(lam, r, modulus) for r in range(d)])
+        y = y * _det_mod(mat, modulus) % modulus
     return y * y
 
 
-def _det_mod(rows: list[list[int]], m: int) -> int | None:
-    """Determinant mod m of a square matrix of residues, by elimination with unit pivots.
+def _det_mod(rows: list[list[int]], m: int) -> int:
+    """Determinant mod m of a square integer matrix, m squarefree.
 
-    Any modulus: each column pivots on its first row whose entry is a
-    unit mod m.  A column whose entries are all 0 mod m gives 0; one with
-    nonzero entries but no unit gives None, which only a composite m can
-    meet.  The pivot row is reduced, and the other rows are updated as
-    y + c u with c and u reduced but the sum left unreduced, so after at
-    most |rows| updates each entry is below |rows| m^2.  ``rows`` is
-    not changed.
+    Each column pivots on its first row whose entry a is nonzero mod m;
+    a column of zeros mod m gives 0.  Should a share a factor g with m,
+    the rows left are eliminated modulo g and modulo m/g, coprime since m
+    is squarefree, and the two determinants joined by CRT; modulo g the
+    column pivots on another row, and modulo m/g a is a unit.  Entries
+    need not be reduced.  The pivot row is reduced, and the other rows
+    are updated as y + c u with c and u reduced but the sum left
+    unreduced, so after at most |rows| updates each entry is below
+    |rows| m^2 plus its start.  ``rows`` is not changed.
     """
     det = 1
     while rows:
-        stuck = False
-        for i, row in enumerate(rows):
-            if a := row[0] % m:
-                try:
-                    inv = pow(a, -1, m)
-                    break
-                except ValueError:
-                    stuck = True
-        else:
-            return None if stuck else 0
+        i, a = next(((i, a) for i, row in enumerate(rows) if (a := row[0] % m)), (0, 0))
+        if not a:
+            return 0
+        if (g := gcd(a, m)) > 1:
+            h = m // g
+            x, y = _det_mod(rows, g), _det_mod(rows, h)
+            return det * (x + g * ((y - x) * pow(g, -1, h) % h)) % m
         # moving row i to the top passes i rows
         det = (-det if i & 1 else det) * a % m
-        neg = m - inv
+        neg = m - pow(a, -1, m)
         tail = [u % m for u in rows[i][1:]]
         rows = [
             [y + c * u for y, u in zip(row[1:], tail)] if (c := row[0] * neg % m) else row[1:]
@@ -882,45 +866,41 @@ def _spd_det_mod(rows: list[int], p: int) -> tuple[int, int]:
     return m, det
 
 
-def _independent_schur(diag: list[int], rows: list) -> tuple[int, int, list]:
+def _independent_schur(a: list[list[int]]) -> tuple[int, int, list]:
     """Eliminate a maximal independent set exactly: (lam, its diagonal's product, lam S).
 
-    A comes as in ``_spd_det``.  I is taken greedily in index order, so
-    A_II is diagonal with positive entries d_k and every neighbour of k
-    in I is in the rest R.  The Schur complement of A_II is
+    A comes as in ``_spd_det``; a row's neighbours are its nonzero
+    off-diagonal columns.  I is taken greedily in index order, so A_II is
+    diagonal with positive entries d_k and every neighbour of k in I is
+    in the rest R.  The Schur complement of A_II is
     S = A_RR - sum_k b_k b_k^T / d_k over k in I, with b_k = A_Rk, and
     det A = prod_k d_k * det S.  Scaled by lam = lcm(d_k) it is an
     integer matrix, built and returned as its dense upper triangle: row
     n holds columns n..|R|-1, so row[0] is its diagonal entry.  It is
     positive (semi)definite whenever A is.
     """
-    m = len(diag)
+    m = len(a)
     indep, covered = [], [False] * m
     for i in range(m):
         if not covered[i]:
             indep.append(i)
-            for j in rows[i][0]:
-                covered[j] = True
-    at = {x: n for n, x in enumerate(i for i in range(m) if covered[i])}
-    lam = lcm(*(diag[k] for k in indep))
-    upper = []
-    for x, n in at.items():
-        sx = [0] * (len(at) - n)
-        sx[0] = lam * diag[x]
-        for y, v in zip(*rows[x]):
-            if y > x and y in at:
-                sx[at[y] - n] = lam * v
-        upper.append(sx)
+            for j, v in enumerate(a[i]):
+                if v and j != i:
+                    covered[j] = True
+    rest = [i for i in range(m) if covered[i]]
+    at = {x: n for n, x in enumerate(rest)}
+    lam = lcm(*(a[k][k] for k in indep))
+    upper = [[lam * a[x][y] for y in rest[n:]] for n, x in enumerate(rest)]
     for k in indep:
-        w = lam // diag[k]
+        w = lam // a[k][k]
         # at[] keeps k's neighbours in order, so each update lands in the
         # upper triangle
-        cols, vals = [at[x] for x in rows[k][0]], rows[k][1]
-        for n, (x, u) in enumerate(zip(cols, vals)):
+        cols = [(at[x], u) for x, u in enumerate(a[k]) if u and x != k]
+        for n, (x, u) in enumerate(cols):
             sx, wu = upper[x], w * u
-            for y, v in zip(cols[n:], vals[n:]):
+            for y, v in cols[n:]:
                 sx[y - x] -= wu * v
-    return lam, math.prod(diag[k] for k in indep), upper
+    return lam, math.prod(a[k][k] for k in indep), upper
 
 
 def _digit_width(bits: int, limit: int) -> tuple[int, int]:
@@ -935,11 +915,9 @@ def _digit_width(bits: int, limit: int) -> tuple[int, int]:
     return shift, max(1, -(-bits // shift))
 
 
-def _spd_det(diag: list[int], rows: list, primes) -> int:
-    """Exact determinant of a symmetric positive semidefinite integer matrix.
+def _spd_det(a: list[list[int]], primes) -> int:
+    """Exact determinant of a symmetric positive semidefinite integer matrix, given as dense rows.
 
-    The matrix comes as its diagonal and, per row, the columns and the
-    entries of its off-diagonal nonzeros, two parallel lists, ascending.
     Hadamard's inequality bounds the determinant by the product of the
     diagonal; residues modulo primes whose product exceeds that bound
     are combined by CRT into the unique value below that product.  A
@@ -964,10 +942,10 @@ def _spd_det(diag: list[int], rows: list, primes) -> int:
     singular (x^T A x = 0 forces A x = 0), so then det A = 0.  A singular
     matrix meets a vanishing pivot at every prime, so the loop ends.
     """
-    bound = math.prod(diag)
+    bound = math.prod(row[i] for i, row in enumerate(a))
     if not bound:
         return 0
-    lam, dprod, upper = _independent_schur(diag, rows)
+    lam, dprod, upper = _independent_schur(a)
     r = len(upper)
     s_diag = [row[0] for row in upper]
     if 0 in s_diag:
@@ -1001,7 +979,7 @@ def _spd_det(diag: list[int], rows: list, primes) -> int:
         modulus *= p
         if modulus > bound:
             return x
-    raise ArithmeticError(f"the primes ran out below the bound of a {len(diag)}-row matrix")
+    raise ArithmeticError(f"the primes ran out below the bound of a {len(a)}-row matrix")
 
 
 def int_log2(n: int) -> float:

@@ -4,28 +4,32 @@
 used before; `_det_fraction` is plain Gaussian elimination over the
 rationals, and `_laplacian` builds the dense matrix they read from the
 multiplicities.  None shares code with the packed determinant, which
-reads the minor sparsely and must agree with both on the Laplacian
-minors of the golden instances, on drawn multigraphs (connected or
-not), on drawn semidefinite matrices (also with primes forced small,
-so that most primes meet a vanishing pivot and are skipped), and on
-weighted matrices built to reach an unlucky prime and entries beyond
-the modulus.  The exact independent-set step before the primes gets
-its own edge cases: nothing left after it, a zero diagonal, a prime
-dividing the lcm of the eliminated diagonal, and a scaled Schur
-complement whose entries pass the modulus or whose first pivot
-vanishes mod p.  A singular minor must end within the primes the skip
-rule allows.  The slot bound is checked over row and digit counts, and
-the cofactor's peak memory on a mid-size register.  The split by the
-graph's permutation π is checked on drawn multigraphs symmetrised under
-a drawn π with mixed orbit sizes, and by the block sizes and counts of
-dense-count; the primes p = 1 (mod k) and their roots of unity against
-sympy.  The unit-pivot elimination is checked against sympy modulo
-primes and modulo products of primes, where it may find a column
-without a unit; dense-count must take one elimination per λ modulo the
+takes each block as dense rows and must agree with both on the
+Laplacian minors of the golden instances, on drawn multigraphs
+(connected or not), on drawn semidefinite matrices (also with primes
+forced small, so that most primes meet a vanishing pivot and are
+skipped), and on weighted matrices built to reach an unlucky prime and
+entries beyond the modulus.  The exact independent-set step before the
+primes gets its own edge cases: nothing left after it, a zero
+diagonal, a prime dividing the lcm of the eliminated diagonal, and a
+scaled Schur complement whose entries pass the modulus or whose first
+pivot vanishes mod p.  A singular minor must end within the primes the
+skip rule allows.  The slot bound is checked over row and digit
+counts, and the cofactor's peak memory on a mid-size register.  The
+split by the graph's permutation π is checked on drawn multigraphs
+symmetrised under a drawn π with mixed orbit sizes, and by the block
+sizes and counts of dense-count; on both, every block read through
+`_block` must have the symmetry its engine relies on (S M_±1
+symmetric, and (S M_λ)^T = S M_1/λ modulo each prime for the λ of
+order d >= 3).  The primes p = 1 (mod k) and their roots of unity are
+checked against sympy.  The modular elimination is checked against
+sympy modulo primes and modulo squarefree products of primes, with
+signed entries and with entries that share a prime with the modulus,
+which split it; dense-count must take one elimination per λ modulo the
 product of its primes, search its primes once per graph, come out
-right through the prime-by-prime fallback when those primes are small,
-and stay within a peak memory bound.  A list of primes too short for
-its bound raises, in both engines.
+right when those primes are small enough to split the modulus, and
+stay within a peak memory bound.  A list of primes too short for its
+bound raises, in both engines.
 """
 
 import itertools
@@ -42,6 +46,7 @@ from hypothesis import strategies as st
 from cyclejoin import adjacency
 from cyclejoin.adjacency import (
     AdjacencyGraph,
+    _block,
     _independent_schur,
     _det_mod,
     _digit_width,
@@ -105,25 +110,14 @@ def _minor(graph, condensed):
     return [row[1:] for row in _laplacian(graph, condensed)[1:]]
 
 
-def _sparse(a):
-    """A dense matrix as _spd_det reads it: the diagonal, and each row's off-diagonal
-    nonzeros as parallel column and value lists."""
-    diag = [a[i][i] for i in range(len(a))]
-    rows = []
-    for i, row in enumerate(a):
-        cols = [j for j, v in enumerate(row) if v and j != i]
-        rows.append((cols, [row[j] for j in cols]))
-    return diag, rows
-
-
 def _listed_primes(m):
     """The primes best_count lists for a λ = 1 block of m rows and k = 1, largest first."""
     return (p for p, _ in _unity_primes(1, _slot_prime_limit(m)))
 
 
 def _det(a, primes=None):
-    """_spd_det of a dense matrix, with the primes best_count would list for it by default."""
-    return _spd_det(*_sparse(a), _listed_primes(len(a)) if primes is None else primes)
+    """_spd_det of a matrix, with the primes best_count would list for it by default."""
+    return _spd_det(a, _listed_primes(len(a)) if primes is None else primes)
 
 
 def _check_against_references(graph, with_fraction=True):
@@ -217,6 +211,67 @@ def symmetric_multigraphs(draw):
 def test_drawn_symmetric_multigraphs_match_bareiss(graph):
     for condensed in (False, True):
         assert best_count(graph, condensed) == bareiss_det(_minor(graph, condensed))
+
+
+def _orbit_sizes(graph):
+    """The sizes of π's orbits on vertices 1, 2, ..., numbered as best_count numbers them."""
+    sizes, seen = [], {0}
+    for v in range(1, graph.num_vertices):
+        if v not in seen:
+            sizes.append(0)
+            while v not in seen:
+                seen.add(v)
+                v = graph._phi[v]
+                sizes[-1] += 1
+    return sizes
+
+
+def _check_block_symmetries(graph):
+    """Read every block best_count builds through _block, and check the symmetries its engines rely on.
+
+    S M_±1 is symmetric, and for each λ of order d >= 3 on the graph's
+    primes, (S M_λ)^T = S M_1/λ modulo that prime, so modulo their product.
+    """
+    sizes = _orbit_sizes(graph)
+    k = math.lcm(*sizes)
+    for condensed in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy(mp, "_block")
+            best_count(graph, condensed)
+        blocks = {}
+        for (rows, block, d, _), mat in calls:
+            blocks.setdefault((d, tuple(block)), (rows, mat))
+        assert {d for d, _ in blocks} == {d for s in sizes for d in range(1, s + 1) if s % d == 0}
+        for (d, block), (rows, mat) in blocks.items():
+            s = [sizes[a] for a in block]
+
+            def scaled(lam, p):
+                m_lam = _block(rows, list(block), d, [pow(lam, r, p) for r in range(d)])
+                return [[sb * v % p for v in row] for sb, row in zip(s, m_lam)]
+
+            if d <= 2:
+                sm = [[sb * v for v in row] for sb, row in zip(s, mat)]
+                assert sm == [list(col) for col in zip(*sm)], d
+                continue
+            assert graph._primes._found
+            for p, z in graph._primes._found:
+                for j in range(1, d):
+                    if math.gcd(j, d) == 1:
+                        lam = pow(z, k // d * j, p)
+                        assert pow(lam, d, p) == 1 and all(pow(lam, e, p) != 1 for e in range(1, d))
+                        sm = scaled(lam, p)
+                        assert [list(col) for col in zip(*sm)] == scaled(pow(lam, -1, p), p), (d, p, j)
+
+
+def test_dense_count_blocks_have_the_symmetries_of_their_engines():
+    _check_block_symmetries(_fresh_dense_graph())
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_multigraphs())
+def test_drawn_symmetric_multigraph_blocks_have_the_symmetries_of_their_engines(graph):
+    if graph.is_connected():
+        _check_block_symmetries(graph)
 
 
 def _two_triangles():
@@ -379,24 +434,6 @@ def test_det_mod_matches_sympy(p, a):
     assert _det_mod([[v % p for v in row] for row in a], p) == expected
 
 
-def _unit_pivot_det(a, m):
-    """det a mod m by elimination on fully reduced rows, pivoting on the first
-    row whose leading entry is prime to m; None at a column of nonzero
-    entries none of which is."""
-    a = [[v % m for v in row] for row in a]
-    det = 1
-    while a:
-        col = [row[0] for row in a]
-        i = next((i for i, v in enumerate(col) if math.gcd(v, m) == 1), None)
-        if i is None:
-            return None if any(col) else 0
-        pivot = a.pop(i)
-        det = det * (-1) ** i * pivot[0] % m
-        inv = pow(pivot[0], -1, m)
-        a = [[(y - row[0] * inv * u) % m for y, u in zip(row[1:], pivot[1:])] for row in a]
-    return det
-
-
 _COMPOSITES = [(3, 5, 7), (13, 37), ((1 << 61) - 1, (1 << 31) - 1)]
 
 
@@ -423,14 +460,13 @@ _COMPOSITES = [(3, 5, 7), (13, 37), ((1 << 61) - 1, (1 << 31) - 1)]
 @example(((3, 5, 7), [[3, 1], [5, 1]]))
 @example(((13, 37), [[13, 1, 0], [0, 2, 1], [37, 0, 1]]))
 def test_det_mod_with_a_composite_modulus(case):
+    # a pivot that is a non-unit splits M; the entries come signed as
+    # drawn, and reduced
     qs, a = case
     m = math.prod(qs)
+    expected = int(sympy.Matrix(a).det()) % m if a else 1
     reduced = [[v % m for v in row] for row in a]
-    det = _det_mod(reduced, m)
-    # None exactly where the unit-pivot rule meets a column without a unit
-    assert det == _unit_pivot_det(a, m)
-    if det is not None:
-        assert det == (int(sympy.Matrix(a).det()) % m if a else 1)
+    assert _det_mod(a, m) == _det_mod(reduced, m) == expected
     assert reduced == [[v % m for v in row] for row in a]  # the rows are not changed
 
 
@@ -456,7 +492,7 @@ def _spy(monkeypatch, name):
 
 
 def _schur(a):
-    return _independent_schur(*_sparse(a))
+    return _independent_schur(a)
 
 
 @pytest.mark.parametrize(
@@ -665,17 +701,30 @@ def _small_unity_primes(k, top):
             yield p, next(z for z in range(2, p) if sympy.n_order(z, p) == k)
 
 
-def test_small_primes_take_the_prime_by_prime_fallback(monkeypatch):
-    # with M a product of primes like 13, 37 and 61, some column of some
-    # M_λ holds nonzero entries but no unit mod M; the λ = ±1 blocks read
-    # the same small primes
+def test_small_primes_split_the_modulus(monkeypatch):
+    # with M a product of primes like 13, 37 and 61, some pivot of some
+    # M_λ is nonzero but no unit mod M, so _det_mod eliminates the rows
+    # left modulo a proper factor of M and its cofactor; the λ = ±1 blocks
+    # read the same small primes
     monkeypatch.setattr(adjacency, "_unity_primes", _small_unity_primes)
     assert [p for p, _ in itertools.islice(_small_unity_primes(12, None), 5)] == [13, 37, 61, 73, 97]
+    inner, moduli, splits = adjacency._det_mod, [], []
+
+    def spy(rows, m):
+        if moduli and moduli[-1] != m:
+            assert moduli[-1] % m == 0
+            splits.append((moduli[-1], m))
+        moduli.append(m)
+        try:
+            return inner(rows, m)
+        finally:
+            moduli.pop()
+
+    monkeypatch.setattr(adjacency, "_det_mod", spy)
     g = _fresh_dense_graph()
-    calls = _spy(monkeypatch, "_det_mod")
     assert best_count(g) == DENSE_ZETA_G
     assert best_count(g, condensed=True) == DENSE_ZETA_GHAT
-    assert any(det is None for _, det in calls)
+    assert splits and all(1 < m < outer for outer, m in splits)
 
 
 def test_dense_count_cofactor_peak_memory():

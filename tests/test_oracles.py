@@ -8,7 +8,9 @@ brute-force state stepping (state_oracle) finds the register's cycles,
 which the sweep over every register of degree at most 10 turns into
 pairs and a Bareiss count, and the register's automorphism Φ, whose
 cycle permutation must be the package's and keep every multiplicity of
-the sweep, and Berlekamp-Massey measures the linear
+the sweep, while psi, both counts and the multiplicities must not
+depend on the order in which the factors come, and Berlekamp-Massey
+measures the linear
 complexity of the emitted sequences, which for a de Bruijn sequence of
 order n lies in [2^{n-1} + n, 2^n - 1] (Chan, Games and Key 1982).
 """
@@ -210,6 +212,20 @@ def test_every_small_register_matches_brute_force(n):
             assert (index[v], index[v ^ 1]) == (a, b), polys
             parent[find(a)] = find(b)
         assert len({find(c) for c in range(inst.psi)}) == 1, polys
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_counts_do_not_depend_on_the_factor_order(n):
+    # each order gives its own basis, cycle numbering and Φ, so its own
+    # blocks and primes; the register, and so every count, is the same
+    for polys in _factor_sets(n):
+        seen = set()
+        for order in itertools.permutations(polys):
+            inst = FactoredLfsr(list(order))
+            graph = inst.graph()
+            mults = sorted(graph.multiplicities.values())
+            seen.add((inst.psi, best_count(graph), best_count(graph, condensed=True), tuple(mults)))
+        assert len(seen) == 1, polys
 
 
 def _stepped_permutation(inst, index):
