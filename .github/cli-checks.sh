@@ -51,6 +51,13 @@ echo "$out"
 test "$code" -eq 1
 test "$out" = "$(printf 'sequence 1: order 1: ok\nsequence 2: order 2: ok\nsequence 3: order 2: FAIL')"
 
+check "Verify fails lines that int(..., 2) would parse but are not binary, n=2"
+code=0
+out=$(printf '0b01\n0_01\n+001\n' | python -m cyclejoin verify -) || code=$?
+echo "$out"
+test "$code" -eq 1
+test "$(echo "$out" | grep -c ': order 2: FAIL$')" -eq 3
+
 check "One flipped bit fails verify on its line only, n=16"
 code=0
 out=$(python -m cyclejoin generate --factors 1001001,10000001111 --limit 3 \

@@ -176,15 +176,14 @@ class LocalPairTable:
         table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         partners = [[] for _ in range(t + 1)]
         for j in range(t):
-            rows = [[] for _ in range(t)]  # per partner cycle k, in u order
+            rows = {}  # per partner cycle k, in u order
             for u, x in enumerate(factor.orbit(j)):
                 if x != block:  # the block's partner is the zero state
                     k, w = divmod(where[x ^ block], e)
-                    rows[k].append((u, w))
-            for k, row in enumerate(rows):
-                if row:
-                    table[(j, k)] = tuple(row)
-                    partners[j].append(k)
+                    rows.setdefault(k, []).append((u, w))
+            for k in sorted(rows):
+                table[(j, k)] = tuple(rows[k])
+                partners[j].append(k)
         # zero-cycle rows: the nonzero side must be the block's own cycle
         table[(t, cycle_id)] = ((0, shift),)
         table[(cycle_id, t)] = ((shift, 0),)

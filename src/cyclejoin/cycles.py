@@ -87,7 +87,9 @@ def states_per_factor(p: int) -> FactorData:
     offsets 0..t-1 are the t nonzero cycles of p, each read in full;
     i is the one start whose decimation at offset 0 opens with
     (1, 0, ..., 0), found by searching each decimation for that window.
-    A cycle's n-bit windows are its states in order.
+    A cycle's n-bit windows are its states in order: one cyclic_windows
+    call reads them all, from the t decimations laid end to end, each
+    followed by its own first n - 1 bits so that no window spans two.
     """
     if not is_irreducible(p):
         raise ValueError(f"factor {format_poly(p)} is reducible")
@@ -113,14 +115,17 @@ def states_per_factor(p: int) -> FactorData:
         raise AssertionError(f"no decimation of {format_poly(q)}'s m-sequence meets {impulse}")
     i = r + t * k
     seq = seq[i:] + seq[:i]
-    orbits = []
+    # cycle j's states open the j-th span, its decimation and that
+    # decimation's first n - 1 bits
+    decimations = (seq[j::t] for j in range(t))
+    span = e + n - 1
+    windows = cyclic_windows("".join(d + d[: n - 1] for d in decimations).encode("ascii"), n)
+    orbits = [windows[j * span : j * span + e].tolist() for j in range(t)]
+    del d, seq, windows  # none of them adds to the peak of the inverse below
     where = [-1] * (size + 1)
-    for j in range(t):
-        d = seq[j::t]
-        orbit = cyclic_windows(d.encode("ascii"), n).tolist()
+    for j, orbit in enumerate(orbits):
         for pos, x in enumerate(orbit, j * e):
             where[x] = pos
-        orbits.append(orbit)
     if where.count(-1) != 1:
         raise AssertionError(f"the orbits of {format_poly(p)} do not cover distinct cycles")
     return FactorData(

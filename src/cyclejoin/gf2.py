@@ -102,7 +102,26 @@ def poly_gcd(a: int, b: int) -> int:
 
 
 def poly_mulmod(a: int, b: int, m: int) -> int:
-    return poly_mod(poly_mul(a, b), m)
+    """a * b modulo m, for m nonzero, reduced as it multiplies.
+
+    a times x^i is kept below the degree of m: each shift that reaches
+    it XORs m back in, so no product of full length is ever formed.
+    """
+    d = degree(m)
+    if d < 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    if a >> d:
+        a = poly_mod(a, m)
+    top = 1 << d
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= m
+    return r
 
 
 def poly_powmod(a: int, k: int, m: int) -> int:

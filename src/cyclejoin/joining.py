@@ -30,12 +30,13 @@ its states is located and keeps it for later joins.  It also keeps the
 positions of each conjugate pair after the first join that uses it, as
 one int, so a repeat join finds its pairs by dict lookups instead of
 walks; that memory is one entry per distinct pair joined, at most
-2^(n-1).  The de Bruijn check builds the 2^(n-1) cyclic (n+1)-bit
-windows at even positions a byte at a time (lfsr's cyclic_windows), out
-of one big integer with one byte per bit.  Each holds the n-bit windows
-at its position and the next, so marking each in a table of 2^(n+1)
-bytes marks all 2^n windows with half as many stores; four C-level
-reads of the table fold the marks back to n-bit values.
+2^(n-1).  The de Bruijn check reads the 2^(n-1) cyclic (n+1)-bit
+windows at even positions a byte at a time (lfsr's cyclic_windows),
+from the line parsed once into a packed integer.  Each holds the n-bit
+windows at its position and the next, so marking each in a table of
+2^(n+1) bytes marks all 2^n windows with half as many stores; four
+C-level reads of the table fold the marks back to n-bit values, and a
+bit count tells whether they cover all of them.
 """
 
 import heapq
@@ -457,8 +458,9 @@ def verify_de_bruijn(seq: str, n: int) -> bool:
     and x_j >> 1 the window at 2j + 1.  lfsr.cyclic_windows gives the
     x_j, and each marks its slot in a table of 2^(n+1) bytes, so 2^n
     windows take 2^(n-1) stores.  The table's two halves give the low
-    windows and its even and odd bytes the high ones; the sequence is
-    de Bruijn iff the four together leave no n-bit value unmarked.
+    windows and its even and odd bytes the high ones; ORed as integers
+    with one bit per byte, the four hold 2^n set bits iff they leave no
+    n-bit value unmarked, which is iff the sequence is de Bruijn.
     """
     if not isinstance(seq, str):
         raise TypeError(f"sequence must be a str, not {type(seq).__name__}")
@@ -483,4 +485,5 @@ def verify_de_bruijn(seq: str, n: int) -> bool:
     view = memoryview(mark)
     covered = int.from_bytes(view[:size], "little") | int.from_bytes(view[size:], "little")
     covered |= int.from_bytes(mark[0::2], "little") | int.from_bytes(mark[1::2], "little")
-    return covered == int.from_bytes(b"\1" * size, "little")
+    # one set bit per byte of `covered` at most, so 2^n of them means all
+    return covered.bit_count() == size

@@ -16,6 +16,7 @@ basis) are stored as lists of row masks.
 import sys
 from array import array
 from itertools import repeat
+from math import gcd
 
 from .gf2 import X, degree, format_poly, poly_mod, poly_mulmod
 
@@ -122,7 +123,8 @@ class Lfsr:
 
 _LOW_BIT = bytes(b"01"[b & 1] for b in range(256))
 _LOW = 0 if sys.byteorder == "little" else array("I").itemsize - 1
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+# _TOP_MASKS[r] keeps the low r bits of a byte
+_TOP_MASKS = [bytes(x & (1 << r) - 1 for x in range(256)) for r in range(8)]
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -289,49 +291,44 @@ def cyclic_windows(bits: bytes, n: int, step: int = 1) -> array:
     `bits` is ASCII 0s and 1s (b"0110..."), at least one, and the window
     at i has bits[(i + j) % len(bits)] as its bit j.  The windows at
     0, step, 2 step, ... below len(bits) come back in that order, so
-    step 1 gives all len(bits) of them.  The string becomes
-    one bit per byte, with the first n - 1 bits of its cyclic reading
-    appended so that no window wraps.  Byte b of a window's value is
-    itself a window: 8 bits at i + 8b, or the n % 8 bits left for the
-    top byte.  Both widths come from one integer with one byte per bit:
-    shifting it down by k bytes and up by k bits and adding turns
-    width-k windows into width-2k ones, so width 8 takes three passes
-    and the set bits of n % 8 are summed on the way.  Strided slice
-    assignment then interleaves the bytes into slots of 1, 2, 4 or 8
-    bytes, handed back as an array: iterating one is faster than a
-    memoryview cast.  Each row is cut at the step as a bytes slice,
-    which copies a strided row about twice as fast as a memoryview
-    slice does.
+    step 1 gives all len(bits) of them.  The string, with the first
+    n - 1 bits of its cyclic reading appended so that no window wraps,
+    is parsed once into a packed integer P, bit k of P holding bit k
+    of the string.  Byte b of the window at i is then byte (i + 8b) // 8
+    of P >> (i % 8): 8 bits, or the n % 8 bits left for the top byte,
+    which a translate masks.  The positions of one residue of i mod 8
+    lie a fixed number of bytes apart, so each residue takes one
+    to_bytes copy of the shifted P, and each of its window bytes one
+    strided bytes slice, which copies a strided row about twice as
+    fast as a memoryview slice does.  Strided slice assignment
+    interleaves the bytes into slots of 1, 2, 4 or 8 bytes, handed
+    back as an array: iterating one is faster than a memoryview cast.
     """
     count = len(bits)
-    length = count + n - 1
     full, rest = divmod(n, 8)
+    nbytes = full + (rest > 0)
+    width = next(s for s in _SLOT_FORMATS if nbytes <= s)
     # a string shorter than n - 1 bits goes round more than once
     head = (bits * -(-(n - 1) // count))[: n - 1]
-    w = int.from_bytes((bits + head).translate(_BIT_VALUES), "little")  # windows of width k = 1
-    top = done = 0  # windows of width `done`, the set bits of rest below k
-    k = 1
-    while True:
-        if rest & k:
-            top += (w >> (8 * done)) << done
-            done += k
-        if k << 1 > (8 if full else rest):
-            break
-        w += (w >> (8 * k)) << k
-        k <<= 1
-    rows = [w.to_bytes(length, "little")] * full
-    if rest:
-        rows.append(top.to_bytes(length, "little"))
-    # each buffer is dropped once used, so the peak is the slots and
-    # their array, not every buffer at once
-    del w, top
-    width = next(s for s in _SLOT_FORMATS if len(rows) <= s)
-    slots = bytearray(width * -(-count // step))
-    for b in range(len(rows)):
-        # byte b is the b-th least significant of its slot in native order
-        slot = width - 1 - b if _BIG_ENDIAN else b
-        slots[slot::width] = rows[b][8 * b : 8 * b + count : step]
-    del rows
+    packed = int((bits + head)[::-1], 2)
+    size = (count + n + 6) // 8  # bytes of P, which has count + n - 1 bits
+    total = -(-count // step)
+    # windows m and m + group start at the same residue mod 8, `stride`
+    # bytes apart
+    g = gcd(step, 8)
+    group, stride = 8 // g, step // g
+    slots = bytearray(width * total)
+    for m in range(min(group, total)):
+        first = m * step
+        last = (m + (total - 1 - m) // group * group) * step
+        row = (packed >> first % 8).to_bytes(size, "little")
+        for b in range(nbytes):
+            cut = row[first // 8 + b : last // 8 + b + 1 : stride]
+            if b == full:
+                cut = cut.translate(_TOP_MASKS[rest])
+            # byte b is the b-th least significant of its slot in native order
+            slot = width - 1 - b if _BIG_ENDIAN else b
+            slots[m * width + slot :: width * group] = cut
     return array(_SLOT_FORMATS[width], slots)
 
 

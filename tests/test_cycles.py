@@ -144,6 +144,17 @@ def test_states_per_factor_matches_the_stepped_oracle_up_to_degree_10():
     assert checked == 225
 
 
+@pytest.mark.parametrize("poly", ["1011110010111", "1111111111111"])
+def test_states_per_factor_matches_the_stepped_oracle_on_many_orbits(poly):
+    # t = 117 and t = 315 orbits, all read from one window call
+    fd = states_per_factor(int(poly, 2))
+    states, orbits, where = _factor_oracle(int(poly, 2))
+    assert fd.t == len(orbits) and fd.t in (117, 315)
+    assert fd.states == states
+    assert [fd.orbit(j) for j in range(fd.t)] == orbits
+    assert fd.positions() == where
+
+
 def test_enumerate_cycles_n7_reference():
     inst = FactoredLfsr.from_strings(N7)
     assert inst.psi == 16

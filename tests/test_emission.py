@@ -343,6 +343,26 @@ def test_windows_at_a_step_are_every_step_th_window(n, monkeypatch):
             assert swapped.tolist() == expected
 
 
+@pytest.mark.parametrize("n", range(1, 42))
+def test_windows_at_steps_of_every_residue_pattern(n, monkeypatch):
+    # steps 5 and 7 meet all eight residues mod 8, 6 four and 12 two, so
+    # their windows come from 8, 4 and 2 shifted copies of the packed bits
+    rng = random.Random(1000 + n)
+    lengths = (1, 2, 7, n, n + 1, 2 * n + 5, 3 * n + 6, 8 * n + 3, 1 << min(n, 11))
+    for m in lengths:
+        bits = "".join(rng.choice("01") for _ in range(m))
+        wrapped = bits * (n // m + 2)
+        for step in (5, 6, 7, 12):
+            expected = [int(wrapped[i : i + n][::-1], 2) for i in range(0, m, step)]
+            data = bits.encode()
+            assert lfsr.cyclic_windows(data, n, step).tolist() == expected
+            monkeypatch.setattr(lfsr, "_BIG_ENDIAN", sys.byteorder == "little")
+            swapped = lfsr.cyclic_windows(data, n, step)
+            monkeypatch.undo()
+            swapped.byteswap()
+            assert swapped.tolist() == expected
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_verify_matches_window_oracle_on_every_flip_and_swap(n):
     # a flip or a swap of adjacent bits moves windows at positions of both
@@ -426,6 +446,14 @@ def test_verify_rejects_non_ascii_and_unmatchable_orders():
         verify_de_bruijn("0101", 10**12)
     with pytest.raises(ValueError, match="length"):
         verify_de_bruijn("01", 10**12)
+
+
+def test_verify_rejects_what_int_parses_but_is_not_binary():
+    # the windows are read through int(..., 2), which takes a prefix, an
+    # underscore, a sign and surrounding spaces; none of them is a bit
+    for seq in ("0b01", "0_01", "+001", "-001", " 001"):
+        with pytest.raises(ValueError, match="binary"):
+            verify_de_bruijn(seq, 2)
 
 
 def test_verify_takes_only_a_str():

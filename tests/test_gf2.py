@@ -61,6 +61,19 @@ def test_divmod_roundtrip():
         assert poly_mul(q, b) ^ r == a
 
 
+def test_mulmod_is_the_product_reduced():
+    # a and b unreduced as well as reduced, m down to degree 0
+    rng = random.Random(9)
+    for _ in range(2000):
+        m = rng.randrange(1, 1 << rng.randrange(1, 40))
+        a = rng.randrange(1 << rng.randrange(1, 60))
+        b = rng.randrange(1 << rng.randrange(1, 60))
+        assert poly_mulmod(a, b, m) == poly_mod(poly_mul(a, b), m)
+    for a, b in [(0, 0), (0b101, 0b11)]:
+        with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+            poly_mulmod(a, b, 0)
+
+
 def test_gcd_divides_both():
     rng = random.Random(8)
     for _ in range(200):
