@@ -91,6 +91,10 @@ timeout 60 python -m cyclejoin generate --partial --factors 1001001,100000000101
 check "Greedy tree at n=20 with a degree-18 factor of t=3 piped into verify, as a guard on the factor tables"
 timeout 60 python -m cyclejoin generate --partial --factors 111,1000000000001110111 | python -m cyclejoin verify -
 
+check "Sample and greedy tree at psi=280, n=20, piped into verify, as a guard on the cycle table built from five factors"
+timeout 60 python -m cyclejoin sample --factors 111,1011,10011,100101,1000011 --limit 2 --seed 1 | python -m cyclejoin verify -
+timeout 60 python -m cyclejoin generate --partial --factors 111,1011,10011,100101,1000011 | python -m cyclejoin verify -
+
 check "A greedy tree over the total-degree cap exits 2 at once with nothing on stdout, n=31"
 code=0
 out=$(timeout 20 python -m cyclejoin generate --partial --factors 1000000000000011,10000000000101101) || code=$?

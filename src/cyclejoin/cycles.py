@@ -15,7 +15,10 @@ search's merges (adjacency) all read their moduli from it.
 Each factor's nonzero cycles, with their states in order, are cut
 from one m-sequence of its associated primitive (``states_per_factor``).
 Every cycle of the product register gets one representative state,
-assembled from shifted per-factor states through the StateBasis.
+assembled from shifted per-factor states through the StateBasis, and
+its output bits read from that state, the XOR of the shifted factor
+cycles' bits (``cycle_strings``), which the register's cycle table
+holds.
 """
 
 import itertools
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from math import gcd, prod
 
 from .gf2 import _order, degree, find_associated_primitive, format_poly, is_irreducible
-from .lfsr import Lfsr, StateBasis, cyclic_windows
+from .lfsr import _LOW_BIT, Lfsr, StateBasis, cyclic_windows
 
 __all__ = [
     "FactorData",
@@ -32,6 +35,7 @@ __all__ = [
     "CycleSet",
     "enumerate_cycles",
     "representative_state",
+    "cycle_strings",
     "shift_levels",
     "canonical_shifts",
 ]
@@ -45,8 +49,9 @@ class FactorData:
     zero cycle is implicit and is addressed by index ``t`` where pair
     sets need it.  The representatives are anchored by decimation of
     the associated primitive's m-sequence, which ties cycle j to the
-    j-th cyclotomic class.  The orbit table and its inverse are cut
-    from that m-sequence once, by states_per_factor, and only read here.
+    j-th cyclotomic class.  Each cycle's output bits (the decimations),
+    the orbit table and its inverse are cut from that m-sequence once,
+    by states_per_factor, and only read here.
     """
 
     poly: int
@@ -57,10 +62,15 @@ class FactorData:
     assoc_primitive: int
     _orbits: tuple[list[int], ...] = field(repr=False, compare=False)
     _where: list[int] = field(repr=False, compare=False)
+    _bits: tuple[str, ...] = field(repr=False, compare=False)
 
     def orbit(self, j: int) -> list[int]:
         """The states of cycle j in order: ``orbit(j)[k] == T^k states[j]``."""
         return self._orbits[j]
+
+    def bits(self, j: int) -> str:
+        """The output bits of cycle j from states[j], s_0 first; its windows are orbit(j)."""
+        return self._bits[j]
 
     def positions(self) -> list[int]:
         """The orbit table's inverse: entry x is j*order + k where x = T^k states[j].
@@ -117,7 +127,7 @@ def states_per_factor(p: int) -> FactorData:
     seq = seq[i:] + seq[:i]
     # cycle j's states open the j-th span, its decimation and that
     # decimation's first n - 1 bits
-    decimations = (seq[j::t] for j in range(t))
+    decimations = tuple(seq[j::t] for j in range(t))
     span = e + n - 1
     windows = cyclic_windows("".join(d + d[: n - 1] for d in decimations).encode("ascii"), n)
     orbits = [windows[j * span : j * span + e].tolist() for j in range(t)]
@@ -137,6 +147,7 @@ def states_per_factor(p: int) -> FactorData:
         assoc_primitive=q,
         _orbits=tuple(orbits),
         _where=where,
+        _bits=decimations,
     )
 
 
@@ -274,3 +285,27 @@ def representative_state(c: CycleDescriptor, basis: StateBasis, factors) -> int:
         for a, j, l, f in zip(c.flags, c.indices, c.shifts, factors, strict=True)
     ]
     return basis.compose(blocks)
+
+
+def cycle_strings(cycles: CycleSet, factors) -> list[str]:
+    """Every cycle's output bits, s_0 first, read from its representative_state.
+
+    The outputs of a sum of component states are the XOR of the
+    components' outputs (compose is linear and commutes with the
+    shift), and a component at shift l of factor cycle j outputs that
+    cycle's bits rotated by l.  So each cycle is a few C-level string
+    and int operations on the factors' cycle bits, each repeated to the
+    cycle's period, with no state stepped.
+    """
+    out = []
+    for c in cycles:
+        period = c.period
+        # the XOR of ASCII 0s and 1s, read as ints, keeps each bit's parity
+        # in its byte's low bit
+        x = 0
+        for a, j, l, f in zip(c.flags, c.indices, c.shifts, factors, strict=True):
+            if a:
+                u = f.bits(j)
+                x ^= int.from_bytes(((u[l:] + u[:l]) * (period // f.order)).encode(), "little")
+        out.append(x.to_bytes(period, "little").translate(_LOW_BIT).decode())
+    return out

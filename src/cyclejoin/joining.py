@@ -25,8 +25,12 @@ among them, so the result is uniform over sequences of the class.
 A joined sequence is the register's cycles spliced at the tree's
 conjugate pairs, so it is emitted as O(psi) slices of the cycle
 strings in the register's Lfsr.cycle_table, not by stepping the joined
-register bit by bit.  The table builds each cycle the first time one of
-its states is located and keeps it for later joins.  It also keeps the
+register bit by bit.  The first join makes the table.  For a
+FactoredLfsr's register it holds every cycle from the start, graph
+vertex c as cycle c, each the XOR of its components' factor cycles
+(cycles.cycle_strings), so no state is stepped; a register given
+without factors builds each cycle the first time one of its states is
+located.  Either way it keeps its cycles for later joins.  It also keeps the
 positions of each conjugate pair after the first join that uses it, as
 one int, so a repeat join finds its pairs by dict lookups instead of
 walks; that memory is one entry per distinct pair joined, at most

@@ -15,7 +15,6 @@ basis) are stored as lists of row masks.
 
 import sys
 from array import array
-from itertools import repeat
 from math import gcd
 
 from .gf2 import X, degree, format_poly, poly_mod, poly_mulmod
@@ -85,9 +84,13 @@ class Lfsr:
     the feedback computes the new bit as the parity of the tapped state
     bits c_i.  The constant term must be 1 (a nonsingular register), so
     every state lies on a cycle.
+
+    `cycles`, when given, is a callable that returns every cycle of the
+    register as its output bits (see CycleTable); the cycle table calls
+    it once, on first use, instead of stepping the register.
     """
 
-    def __init__(self, poly: int):
+    def __init__(self, poly: int, cycles=None):
         n = degree(poly)
         if n < 1:
             raise ValueError("characteristic polynomial must have degree >= 1")
@@ -98,6 +101,7 @@ class Lfsr:
         self.poly = poly
         self.n = n
         self.taps = poly ^ (1 << n)
+        self._cycles = cycles
         self._cycle_table = None
 
     def __repr__(self):
@@ -115,9 +119,14 @@ class Lfsr:
         return out
 
     def cycle_table(self) -> "CycleTable":
-        """The register's CycleTable, made on first use; it builds each cycle as it is located."""
+        """The register's CycleTable, made on first use.
+
+        It holds every cycle from the start when the register was given
+        its cycles, and builds each cycle as it is located otherwise.
+        """
         if self._cycle_table is None:
-            self._cycle_table = CycleTable(self)
+            given = None if self._cycles is None else self._cycles()
+            self._cycle_table = CycleTable(self, given)
         return self._cycle_table
 
 
@@ -130,24 +139,33 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 # Cycles up to this long are stepped; longer ones are extended (CycleTable).
 _STEP_CAP = 224
+# Given cycles are laid end to end for their landmarks about this many
+# bits at a time, so the padded text of the whole register is never held.
+_MARK_BATCH = 1 << 16
 
 
 class CycleTable:
     """The cycles of a register as output bit strings, with a way back from a state.
 
-    cycles[c] holds the outputs of cycle c read from the state that
-    found it, so the state at position k of cycle c is the n-bit window
-    of cycles[c] starting at k (read cyclically).  No cycle is built
-    before one of its states is located: cycles are numbered in the
-    order they are found, and `cycles` grows in place.  Every gap-th
-    position of a built cycle is a landmark, a state kept with its
-    (cycle, position), so a state on a built cycle steps at most gap - 1
-    times to one, and a state that meets none in gap steps lies on a new
-    cycle.  gap = 2^(n/4) keeps both the walk and the landmarks, about
+    cycles[c] holds the outputs of cycle c read from one of its states,
+    so the state at position k of cycle c is the n-bit window of
+    cycles[c] starting at k (read cyclically).  Every gap-th position
+    of a cycle is a landmark, a state kept with its cycle and position
+    packed as one int c << n | k, so a state steps at most gap - 1 times
+    to one.  gap = 2^(n/4) keeps both the walk and the landmarks, about
     2^n / gap over the whole register, small.
 
-    A new cycle is stepped from its state, continuing locate's walk, as
-    an array of states whose low bytes are its bits.  One still open
+    A table made with `cycles`, every cycle of the register, holds them
+    all from the start, in that order.  Their landmarks come from
+    cyclic_windows calls over the cycles laid end to end, each padded
+    to whole gaps with its own wrap bits; the windows that start in a
+    pad are dropped.
+
+    Otherwise no cycle is built before one of its states is located:
+    cycles are numbered in the order they are found, and `cycles` grows
+    in place.  A state that meets no landmark in gap steps lies on a
+    new cycle.  It is stepped from its state, continuing locate's walk,
+    as an array of states whose low bytes are its bits.  One still open
     after _STEP_CAP states is extended at C speed instead.  Over GF(2),
     squaring is linear, so r_t = x^(2^t) mod f comes from r_(t-1) by one
     squaring, and x^D - r_t with D = 2^t is a multiple of f: s_(k+D) is
@@ -171,25 +189,29 @@ class CycleTable:
     states 110 us stepped and 61 us extended.
     """
 
-    def __init__(self, reg: Lfsr):
+    def __init__(self, reg: Lfsr, cycles=None):
         self.n, self.poly, self.taps = reg.n, reg.poly, reg.taps
         self._gap = 1 << reg.n // 4
         self.cycles = []
-        self._marks = {}  # landmark state -> (cycle, position)
+        self._marks = {}  # landmark state -> c << n | k
         self._walk = [0] * self._gap  # the states of locate's last walk
         self._pairs = {}  # pair state v -> the packed positions of v and v ^ 1
         self._squares = [poly_mod(X, reg.poly)]  # x^(2^t) mod f, grown on use
+        if cycles is not None:
+            self.cycles.extend(cycles)
+            self._mark_given()
 
     def locate(self, state: int) -> tuple[int, int]:
         """(c, k) such that `state` sits at position k of cycle c; builds c if it is new."""
         if state < 0 or state >> self.n:
             raise ValueError(f"state does not fit in {self.n} stages")
-        marks, taps, top, walk = self._marks, self.taps, self.n - 1, self._walk
+        n, marks, taps, top, walk = self.n, self._marks, self.taps, self.n - 1, self._walk
         s = state
         for steps in range(self._gap):
             if s in marks:
-                c, k = marks[s]
-                return c, (k - steps) % len(self.cycles[c])
+                p = marks[s]
+                c = p >> n
+                return c, (p - (c << n) - steps) % len(self.cycles[c])
             walk[steps] = s
             s = (s >> 1) | ((s & taps).bit_count() & 1) << top
         return self._build(s), 0
@@ -234,12 +256,32 @@ class CycleTable:
             if s != start:
                 text, states = self._extend(_low_bits(order) + format(s, f"0{self.n}b")[::-1])
                 self.cycles.append(text)
-                marks.update(zip(states, zip(repeat(c), range(0, len(text), gap))))
+                marks.update(zip(states, range(c << self.n, (c << self.n) + len(text), gap)))
                 return c
         self.cycles.append(_low_bits(order))
-        for k in range(0, len(order), gap):
-            marks[order[k]] = c, k
+        marks.update(zip(order[::gap], range(c << self.n, (c << self.n) + len(order), gap)))
         return c
+
+    def _mark_given(self) -> None:
+        """The landmarks of every cycle, read from batches of cycles laid end to end."""
+        n, gap, cycles, marks = self.n, self._gap, self.cycles, self._marks
+        end = 0
+        while end < len(cycles):
+            start, pieces, size = end, [], 0
+            while end < len(cycles) and size < _MARK_BATCH:
+                text = cycles[end]
+                # whole gaps that hold the cycle and its n - 1 wrap bits
+                padded = -(-(len(text) + n - 1) // gap) * gap
+                pieces.append((text * -(-padded // len(text)))[:padded])
+                size += padded
+                end += 1
+            windows = cyclic_windows("".join(pieces).encode("ascii"), n, gap)
+            at = 0
+            for c in range(start, end):
+                length, first = len(cycles[c]), c << n
+                kept = windows[at : at + -(-length // gap)]
+                marks.update(zip(kept, range(first, first + length, gap)))
+                at += -(-(length + n - 1) // gap)
 
     def _extend(self, text: str) -> tuple[str, array]:
         """The cycle that `text` begins, and its landmark states.

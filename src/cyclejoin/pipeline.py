@@ -7,7 +7,7 @@ pair tables and the full adjacency graph.  Everything downstream
 (counting, generating, sampling) hangs off this object.
 """
 
-from functools import reduce
+from functools import partial, reduce
 
 from .adjacency import (
     AdjacencyGraph,
@@ -15,7 +15,7 @@ from .adjacency import (
     build_local_tables,
     represent_special_state,
 )
-from .cycles import enumerate_cycles, representative_state, states_per_factor
+from .cycles import cycle_strings, enumerate_cycles, representative_state, states_per_factor
 from .gf2 import degree, format_poly, is_irreducible, parse_poly, poly_mul
 from .lfsr import Lfsr, StateBasis
 from .joining import greedy_connected_subgraph
@@ -65,10 +65,12 @@ class FactoredLfsr:
         self.factor_polys = polys
         self.n = n
         self.poly = reduce(poly_mul, polys, 1)
-        self.lfsr = Lfsr(self.poly)
         self.factors = [states_per_factor(p) for p in polys]
         self.basis = StateBasis(polys)
         self.cycles = enumerate_cycles(self.factors)
+        # the partial holds the cycles and factors, not self, so the
+        # register and this object form no reference cycle
+        self.lfsr = Lfsr(self.poly, partial(cycle_strings, self.cycles, self.factors))
         self.special = represent_special_state(self.basis, self.factors)
         self.cycles.special_index = self.cycles.index_of(self.special.descriptor)
         self._tables = None

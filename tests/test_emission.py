@@ -10,9 +10,11 @@ and the byte-wide window values are compared with a per-window string
 encoding at every order up to 40.
 """
 
+import gc
 import random
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree, verify
 from cyclejoin.lfsr import Lfsr, state_to_str
 from cyclejoin.pipeline import FactoredLfsr
 from state_oracle import step
+from test_oracles import _factor_sets
 from test_pair_search import GOLDEN, factor_sets
 
 
@@ -182,13 +185,66 @@ def test_extended_cycles_match_stepping_and_the_reference_join(cap, data):
 @pytest.mark.parametrize("factors", ["1000001010011", "1001001,10000001111"])
 def test_long_cycles_locate_every_state(factors):
     # one cycle of length 4095 (a primitive degree-12 register), and the
-    # n=16 stream instance, whose longest cycles run past the step cap
-    reg = FactoredLfsr.from_strings(factors).lfsr
-    check_located(reg, locate_every_state(reg, random.Random(factors)))
-    lengths = list(map(len, reg.cycle_table().cycles))
-    assert max(lengths) > lfsr._STEP_CAP
-    if reg.n == 12:
-        assert sorted(lengths) == [1, 4095]
+    # n=16 stream instance, whose longest cycles run past the step cap:
+    # the table built from the factors, and one that steps and extends
+    inst = FactoredLfsr.from_strings(factors)
+    for reg in (inst.lfsr, Lfsr(inst.poly)):
+        check_located(reg, locate_every_state(reg, random.Random(factors)))
+        lengths = list(map(len, reg.cycle_table().cycles))
+        assert max(lengths) > lfsr._STEP_CAP
+        if reg.n == 12:
+            assert sorted(lengths) == [1, 4095]
+
+
+def check_factor_built_table(inst: FactoredLfsr, rng: random.Random) -> None:
+    """The table built from the factors against stepping and a stepped table's joins.
+
+    Cycle c is graph vertex c, stepped from its representative state;
+    every state locates to its own window; and joins of the greedy
+    tree, three trees of the stream and three drawn ones, each whole and
+    cut short, equal the joins through a table that steps the register.
+    """
+    table = inst.lfsr.cycle_table()
+    stepped = Lfsr(inst.poly)
+    assert len(table.cycles) == inst.psi
+    for c, desc in enumerate(inst.cycles):
+        bits = stepped.generate(inst.representative(c), desc.period)
+        assert table.cycles[c] == "".join(map(str, bits)), (inst, c)
+    check_located(inst.lfsr, {s: table.locate(s) for s in range(1 << inst.n)})
+    graph = inst.graph()
+    trees = [tuple(ps[0] for ps in inst.greedy_tree().edges.values())]
+    trees += g_trees(graph, limit=3)
+    trees += [random_spanning_tree(graph, seed) for seed in range(3)]
+    for tree in trees:
+        for pairs in (tree[: len(tree) // 2], tree):
+            init = rng.randrange(1 << inst.n)
+            assert join_cycles(pairs, inst.lfsr, init) == join_cycles(pairs, stepped, init)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_factor_built_tables_of_every_small_register(n):
+    rng = random.Random(n)
+    for polys in _factor_sets(n):
+        check_factor_built_table(FactoredLfsr(polys), rng)
+
+
+@pytest.mark.parametrize("factors", GOLDEN)
+def test_factor_built_tables_of_the_golden_instances(factors):
+    check_factor_built_table(FactoredLfsr.from_strings(factors), random.Random(factors))
+
+
+def test_a_joined_instance_is_freed_without_the_cycle_collector():
+    # the register keeps what builds its table, but not the instance: a
+    # reference cycle would keep both alive until the collector runs
+    inst = FactoredLfsr.from_strings("11,111,11111")
+    join_cycles(next(g_trees(inst.graph(), limit=1)), inst.lfsr)
+    refs = weakref.ref(inst), weakref.ref(inst.lfsr)
+    gc.disable()
+    try:
+        del inst
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_join_rejects_start_state_wider_than_register():
@@ -240,8 +296,8 @@ def test_a_repeated_join_walks_no_locate_step(monkeypatch):
     inst = FactoredLfsr.from_strings("11,1011110010111")
     tree = random_spanning_tree(inst.graph(), 1)
     monkeypatch.setattr(lfsr.CycleTable, "locate", locate)
-    table = inst.lfsr.cycle_table()
-    table._marks = CountingMarks()
+    table = inst.lfsr.cycle_table()  # every landmark is filled here
+    table._marks = CountingMarks(table._marks)
     first = join_cycles(tree, inst.lfsr)
     assert len(calls) == 2 * len(tree) + 1 and CountingMarks.lookups > len(calls)
     del calls[:]
