@@ -88,6 +88,16 @@ test "$(echo "$out" | grep -c ': ok$')" -eq 100
 check "Greedy tree at n=20 piped into verify, as a guard on the greedy path"
 timeout 60 python -m cyclejoin generate --partial --factors 1001001,100000000101011 | python -m cyclejoin verify -
 
+check "Greedy tree at n=20 from a nonzero start state, located from the factors, piped into verify"
+start=10110011100011110000
+line=$(timeout 60 python -m cyclejoin generate --partial --factors 1001001,100000000101011 --initial-state "$start")
+test "${line:0:20}" = "$start"
+echo "$line" | python -m cyclejoin verify -
+
+check "Greedy tree at n=24 from a nonzero start state piped into verify, as a guard on the located join"
+timeout 60 python -m cyclejoin generate --partial --factors 1001001,1000000000001110111 \
+  --initial-state 101100111000111100001101 | python -m cyclejoin verify -
+
 check "Greedy tree at n=20 with a degree-18 factor of t=3 piped into verify, as a guard on the factor tables"
 timeout 60 python -m cyclejoin generate --partial --factors 111,1000000000001110111 | python -m cyclejoin verify -
 

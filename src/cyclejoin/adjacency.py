@@ -97,6 +97,7 @@ from .cycles import (
     CycleDescriptor,
     CycleSet,
     canonical_shifts,
+    cycle_locator,
     representative_state,
     shift_levels,
 )
@@ -294,12 +295,27 @@ class PairSearch:
         tuples are ever visited.  With i == j the cycle's self-pairs come
         out, each once per orientation.
         """
+        return _descend(self._levels(i, j), self._views(i), 0, 0, 0, 0)
+
+    def first(self, i: int, j: int) -> tuple[int, int, int] | None:
+        """The first pair that pairs(i, j) yields, located: (v, r1, r2), or None if there is none.
+
+        The descent stops at its first leaf, whose merged residues are
+        the positions of v on cycle i and of v ^ 1 on cycle j: a side's
+        residue r is its global shift, with each active component's
+        local shift at the component's canonical shift plus r, so the
+        state sits r steps past the cycle's representative state, at
+        position r of its string (cycles.cycle_strings).
+        """
+        return _first(self._levels(i, j), self._views(i), 0, 0, 0, 0)
+
+    def _views(self, i: int) -> list[tuple]:
+        """Per level, the orbit of cycle i's component and the basis images of its factor."""
         # an inactive v side only meets the zero-cycle row (0, c): u = 0, state 0
-        views = [
+        return [
             (f.orbit(a), self._basis.slot_images(k)) if a < f.t else _ZERO_VIEW
             for k, (a, f) in enumerate(zip(self._keys[i], self._factors))
         ]
-        return _descend(self._levels(i, j), views, 0, 0, 0, 0)
 
 
 def _count(levels, i: int, r1: int, r2: int) -> int:
@@ -355,6 +371,21 @@ def _descend(levels, views, i, r1, r2, v):
             r2 + m2 * ((w - l2 - r2) // g2 * inv2 % q2),
             v ^ images[orbit[u]],
         )
+
+
+def _first(levels, views, i, r1, r2, v):
+    """The first pair below level i, with both sides' final residues, as _descend finds it."""
+    groups, l1, g1, m1, q1, inv1, l2, g2, m2, q2, inv2 = levels[i]
+    orbit, images = views[i]
+    last = i + 1 == len(levels)
+    for u, w in groups.get(((r1 + l1) % g1, (r2 + l2) % g2), ()):
+        x = v ^ images[orbit[u]]
+        s1 = r1 + m1 * ((u - l1 - r1) // g1 * inv1 % q1)
+        s2 = r2 + m2 * ((w - l2 - r2) // g2 * inv2 % q2)
+        found = (x, s1, s2) if last else _first(levels, views, i + 1, s1, s2, x)
+        if found is not None:
+            return found
+    return None
 
 
 class PairBundles(Mapping):
@@ -422,11 +453,15 @@ class AdjacencyGraph:
     holds the register's Φ there, a hand-built one none.  ``_primes``
     keeps the primes the cofactor has found, p = 1 (mod k) for the order
     k of ``_phi``, with their roots of unity: every block of G and Ĝ
-    reads that one list.
+    reads that one list.  ``located`` maps a pair state v to where v and
+    v ^ 1 sit on the cycle strings (``cycles.cycle_strings``), packed as
+    ``lfsr.CycleTable.locate_pairs`` packs them; a greedy tree fills it
+    for its pairs, and other graphs leave it empty.
     """
 
     num_vertices: int
     edges: Mapping[tuple[int, int], tuple[int, ...]]
+    located: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     _phi: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _primes: _PrimeList = field(default_factory=_PrimeList, init=False, repr=False, compare=False)
 
@@ -506,8 +541,7 @@ def _frobenius(cycles: CycleSet, factors, basis: StateBasis) -> tuple[int, ...]:
     g^2 x^2i mod f.  Φ is linear, maps cycles onto cycles and fixes S, so
     it maps each conjugate pair (v, v + S) to one, and keeps every
     multiplicity.  π[i] is the cycle of Φ(representative_state(i)),
-    located through the basis and the factors' orbit tables; no state
-    is stepped.
+    found by cycles.cycle_locator; no state is stepped.
     """
     n = basis.n
     f = reduce(poly_mul, basis.polys)
@@ -523,20 +557,10 @@ def _frobenius(cycles: CycleSet, factors, basis: StateBasis) -> tuple[int, ...]:
     for _ in range(n - 1):
         cols.append(poly_mulmod(cols[-1], x2, f))
     rows = [sum((c >> j & 1) << i for i, c in enumerate(cols)) for j in range(n)]
-    orders = [fac.order for fac in factors]
-    index = {(c.flags, c.indices, c.shifts): i for i, c in enumerate(cycles)}
-    pi = []
-    for c in cycles:
-        blocks = basis.decompose(_vec_mat(representative_state(c, basis, factors), rows))
-        flags, ids, shifts = [], [], []
-        for blk, fac in zip(blocks, factors):
-            j, l = fac.locate(blk) if blk else (0, 0)
-            flags.append(1 if blk else 0)
-            ids.append(j)
-            shifts.append(l)
-        flags = tuple(flags)
-        pi.append(index[flags, tuple(ids), canonical_shifts(flags, shifts, orders)])
-    return tuple(pi)
+    locate = cycle_locator(cycles, factors, basis)
+    return tuple(
+        locate(_vec_mat(representative_state(c, basis, factors), rows))[0] for c in cycles
+    )
 
 
 def build_graph(cycles: CycleSet, tables, factors, basis, rep) -> AdjacencyGraph:

@@ -18,15 +18,17 @@ Every cycle of the product register gets one representative state,
 assembled from shifted per-factor states through the StateBasis, and
 its output bits read from that state, the XOR of the shifted factor
 cycles' bits (``cycle_strings``), which the register's cycle table
-holds.
+holds.  ``cycle_locator`` goes the other way: it finds any state's
+cycle and its position on that string from the state's blocks, with no
+state stepped.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, prod
 
-from .gf2 import _order, degree, find_associated_primitive, format_poly, is_irreducible
-from .lfsr import _LOW_BIT, Lfsr, StateBasis, cyclic_windows
+from .gf2 import _associated_primitive, _order, degree, format_poly, is_irreducible
+from .lfsr import _LOW_BIT, StateBasis, cycle_bits, cyclic_windows
 
 __all__ = [
     "FactorData",
@@ -35,6 +37,7 @@ __all__ = [
     "CycleSet",
     "enumerate_cycles",
     "representative_state",
+    "cycle_locator",
     "cycle_strings",
     "shift_levels",
     "canonical_shifts",
@@ -105,14 +108,17 @@ def states_per_factor(p: int) -> FactorData:
         raise ValueError(f"factor {format_poly(p)} is reducible")
     if not p & 1:
         raise ValueError("factor x is not allowed: the register would be singular")
+    return _states_per_factor(p)
+
+
+def _states_per_factor(p: int) -> FactorData:
+    """states_per_factor for p already known irreducible, with constant term 1."""
     n = degree(p)
     e = _order(p)
     size = (1 << n) - 1
     t = size // e
-    q = p if t == 1 else find_associated_primitive(p)
-    table = Lfsr(q).cycle_table()
-    seq = table.cycles[table.locate(1)[0]]
-    del table  # its landmarks would otherwise add to the peak of the orbit table below
+    q = p if t == 1 else _associated_primitive(p, e)
+    seq = cycle_bits(q, [1])
     if len(seq) != size:
         raise AssertionError(f"{format_poly(q)} is not primitive: its cycle has {len(seq)} states")
     impulse = "1" + "0" * (n - 1)
@@ -230,13 +236,21 @@ def canonical_shifts(flags, shifts, orders) -> tuple[int, ...]:
     the cycle structure.  An inactive component has g = q = 1, so it
     gets shift 0 and leaves the constraint alone.
     """
+    return _reduce_shifts(shifts, shift_levels(flags, orders))[0]
+
+
+def _reduce_shifts(shifts, levels) -> tuple[tuple[int, ...], int]:
+    """canonical_shifts from a cycle's shift_levels, and the global shift r it adds.
+
+    Each active component k ends at l_k = s_k + r modulo its period.
+    """
     rho = 0
     out = []
-    for sh, (g, m, q, inv) in zip(shifts, shift_levels(flags, orders), strict=True):
+    for sh, (g, m, q, inv) in zip(shifts, levels, strict=True):
         l = (sh + rho) % g
         out.append(l)
         rho += m * ((l - sh - rho) // g * inv % q)
-    return tuple(out)
+    return tuple(out), rho
 
 
 def _flag_patterns(s: int):
@@ -285,6 +299,39 @@ def representative_state(c: CycleDescriptor, basis: StateBasis, factors) -> int:
         for a, j, l, f in zip(c.flags, c.indices, c.shifts, factors, strict=True)
     ]
     return basis.compose(blocks)
+
+
+def cycle_locator(cycles: CycleSet, factors, basis: StateBasis):
+    """A function from a state v to (c, k): v sits at position k of cycle c's string.
+
+    That is, v = T^k of representative_state(c), whose outputs
+    cycle_strings reads.  v's blocks (basis.decompose) sit on their
+    factors' cycles as T^(s_i) states[j_i] (orbit-table lookups), which
+    names v's cycle up to one global shift; reducing the s_i to the
+    canonical shifts adds the global shift r that brings v to the
+    representative, so k = -r modulo the period.  No state is stepped.
+    The zero state is position 0 of the zero cycle.
+    """
+    index = {(c.flags, c.indices, c.shifts): i for i, c in enumerate(cycles)}
+    orders = [f.order for f in factors]
+    levels = {}  # per activity pattern, its shift_levels
+
+    def locate(v: int) -> tuple[int, int]:
+        flags, ids, shifts = [], [], []
+        for blk, f in zip(basis.decompose(v), factors):
+            j, s = f.locate(blk) if blk else (0, 0)
+            flags.append(1 if blk else 0)
+            ids.append(j)
+            shifts.append(s)
+        flags = tuple(flags)
+        lv = levels.get(flags)
+        if lv is None:
+            lv = levels[flags] = shift_levels(flags, orders)
+        canon, rho = _reduce_shifts(shifts, lv)
+        c = index[flags, tuple(ids), canon]
+        return c, -rho % cycles[c].period
+
+    return locate
 
 
 def cycle_strings(cycles: CycleSet, factors) -> list[str]:

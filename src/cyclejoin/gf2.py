@@ -221,8 +221,12 @@ def find_associated_primitive(g: int) -> int:
     coefficient bit pattern (constant term in bit 0), so the result is
     deterministic.
     """
+    return _associated_primitive(g, poly_order(g))
+
+
+def _associated_primitive(g: int, e: int) -> int:
+    """find_associated_primitive for g already known irreducible, of order e."""
     n = degree(g)
-    e = poly_order(g)
     t = ((1 << n) - 1) // e
     if t == 1:
         return g

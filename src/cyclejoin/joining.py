@@ -34,7 +34,13 @@ located.  Either way it keeps its cycles for later joins.  It also keeps the
 positions of each conjugate pair after the first join that uses it, as
 one int, so a repeat join finds its pairs by dict lookups instead of
 walks; that memory is one entry per distinct pair joined, at most
-2^(n-1).  The de Bruijn check reads the 2^(n-1) cyclic (n+1)-bit
+2^(n-1).  A factored table builds its landmarks, the states a walk
+stops at, only on its first walk.  A greedy tree's pairs come to it
+already located, from the residues of the pair search that found them,
+and the start state is located by algebra on the factors
+(cycles.cycle_locator), so `generate --partial` walks no state and
+builds no landmark; the bundle pairs of `generate` and `sample` still
+walk.  The de Bruijn check reads the 2^(n-1) cyclic (n+1)-bit
 windows at even positions a byte at a time (lfsr's cyclic_windows),
 from the line parsed once into a packed integer.  Each holds the n-bit
 windows at its position and the next, so marking each in a table of
@@ -309,32 +315,38 @@ def greedy_connected_subgraph(cycles: CycleSet, tables, factors, basis, rep) -> 
     single conjugate pair, all through one PairSearch; newly reached
     cycles join the frontier (processed in ascending index order).
     Useful when the complete pair computation is too expensive and any
-    one tree suffices.
+    one tree suffices.  Each probe stops at the descent's first leaf,
+    whose residues are where the pair sits (PairSearch.first), so the
+    graph's ``located`` holds every pair's positions on the cycle
+    strings, ready for the register's cycle table.
     ``rep`` is not read; the tables already hold the special state's blocks.
     """
     search = PairSearch(cycles, tables, factors, basis)
+    n = basis.n
     psi = len(cycles)
     reached = bytearray(psi)
     reached[0] = 1
     count = 1
     frontier = [0]  # a heap: the smallest index is processed first
-    edges = {}
+    edges, located = {}, {}
     while frontier and count < psi:
         cur = heapq.heappop(frontier)
         for j in search.partners[cur]:
             if reached[j]:
                 continue
             a, b = (cur, j) if cur < j else (j, cur)
-            pair = next(search.pairs(a, b), None)
-            if pair is not None:
-                edges[(a, b)] = (pair,)
+            found = search.first(a, b)
+            if found is not None:
+                v, r1, r2 = found
+                edges[(a, b)] = (v,)
+                located[v] = (a << n | r1) << 2 * n | b << n | r2
                 reached[j] = 1
                 count += 1
                 heapq.heappush(frontier, j)
     if count < psi:
         missing = [i for i in range(psi) if not reached[i]]
         raise ValueError(f"could not connect all cycles; unreachable: {missing}")
-    return AdjacencyGraph(psi, edges)
+    return AdjacencyGraph(psi, edges, located)
 
 
 @dataclass(frozen=True)
@@ -368,7 +380,8 @@ def join_cycles(pairs, spec: Lfsr, init: int = 0) -> DeBruijnSequence:
     cycle of that state's conjugate, one slice per visit.  The pair
     states are found through CycleTable.locate_pairs, which keeps each
     pair's positions for the register's later joins: one int per
-    distinct pair, at most 2^(n-1).
+    distinct pair, at most 2^(n-1).  The start state is found through
+    CycleTable.locate_start.
     """
     n = spec.n
     if len({v >> 1 for v in pairs}) != len(pairs):
@@ -390,7 +403,7 @@ def join_cycles(pairs, spec: Lfsr, init: int = 0) -> DeBruijnSequence:
     for ks in stops.values():
         ks.sort()
     size = 1 << n
-    c, k = table.locate(init)
+    c, k = table.locate_start(init)
     out = []
     total = 0
     while total < size:

@@ -22,6 +22,7 @@ from .gf2 import X, degree, format_poly, poly_mod, poly_mulmod
 __all__ = [
     "Lfsr",
     "CycleTable",
+    "cycle_bits",
     "StateBasis",
     "cyclic_windows",
     "bits_to_state",
@@ -87,10 +88,12 @@ class Lfsr:
 
     `cycles`, when given, is a callable that returns every cycle of the
     register as its output bits (see CycleTable); the cycle table calls
-    it once, on first use, instead of stepping the register.
+    it once, on first use, instead of stepping the register.  `locator`,
+    when given with it, is a callable that returns the table's locator,
+    called once with it.
     """
 
-    def __init__(self, poly: int, cycles=None):
+    def __init__(self, poly: int, cycles=None, locator=None):
         n = degree(poly)
         if n < 1:
             raise ValueError("characteristic polynomial must have degree >= 1")
@@ -102,6 +105,7 @@ class Lfsr:
         self.n = n
         self.taps = poly ^ (1 << n)
         self._cycles = cycles
+        self._locator = locator
         self._cycle_table = None
 
     def __repr__(self):
@@ -126,7 +130,8 @@ class Lfsr:
         """
         if self._cycle_table is None:
             given = None if self._cycles is None else self._cycles()
-            self._cycle_table = CycleTable(self, given)
+            locator = None if self._locator is None else self._locator()
+            self._cycle_table = CycleTable(self, given, locator)
         return self._cycle_table
 
 
@@ -137,7 +142,7 @@ _TOP_MASKS = [bytes(x & (1 << r) - 1 for x in range(256)) for r in range(8)]
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
-# Cycles up to this long are stepped; longer ones are extended (CycleTable).
+# Cycles up to this long are stepped; longer ones are extended (cycle_bits).
 _STEP_CAP = 224
 # Given cycles are laid end to end for their landmarks about this many
 # bits at a time, so the padded text of the whole register is never held.
@@ -149,32 +154,28 @@ class CycleTable:
 
     cycles[c] holds the outputs of cycle c read from one of its states,
     so the state at position k of cycle c is the n-bit window of
-    cycles[c] starting at k (read cyclically).  Every gap-th position
-    of a cycle is a landmark, a state kept with its cycle and position
-    packed as one int c << n | k, so a state steps at most gap - 1 times
-    to one.  gap = 2^(n/4) keeps both the walk and the landmarks, about
-    2^n / gap over the whole register, small.
+    cycles[c] starting at k (read cyclically).  locate walks a state to
+    a landmark: every gap-th position of a cycle is one, a state kept
+    with its cycle and position packed as one int c << n | k, so a state
+    steps at most gap - 1 times to one.  gap = 2^(n/4) keeps both the
+    walk and the landmarks, about 2^n / gap over the whole register,
+    small.
 
     A table made with `cycles`, every cycle of the register, holds them
-    all from the start, in that order.  Their landmarks come from
-    cyclic_windows calls over the cycles laid end to end, each padded
-    to whole gaps with its own wrap bits; the windows that start in a
-    pad are dropped.
+    all from the start, in that order, and builds their landmarks on
+    its first walk.  They come from cyclic_windows calls over the cycles
+    laid end to end, each padded to whole gaps with its own wrap bits;
+    the windows that start in a pad are dropped.  Such a table may also
+    have a `locator`, a function from a state to its (c, k) that steps
+    no state (a factored register's is cycles.cycle_locator), which
+    locate_start asks for a join's start state.  With the positions of
+    every pair handed over by keep_pairs, as a greedy tree's pair search
+    finds them, a join walks no state and the table builds no landmark.
 
     Otherwise no cycle is built before one of its states is located:
     cycles are numbered in the order they are found, and `cycles` grows
     in place.  A state that meets no landmark in gap steps lies on a
-    new cycle.  It is stepped from its state, continuing locate's walk,
-    as an array of states whose low bytes are its bits.  One still open
-    after _STEP_CAP states is extended at C speed instead.  Over GF(2),
-    squaring is linear, so r_t = x^(2^t) mod f comes from r_(t-1) by one
-    squaring, and x^D - r_t with D = 2^t is a multiple of f: s_(k+D) is
-    the sum of s_(k+j) over the terms x^j of r_t.  With m bits known and
-    n <= D <= m, one pass of shifts and XORs on a packed integer adds the
-    D - n + 1 bits after them, so the length about doubles each pass
-    (while no such D exists, D = n and r is the taps, one bit a pass).
-    The period is the first return of the first window (str.find), and
-    the landmarks come from cyclic_windows.
+    new cycle, which cycle_bits reads on from locate's walk.
 
     A cycle never moves once built, so locate_pairs keeps the positions
     of each conjugate pair it locates, as one int, for the table's
@@ -182,29 +183,27 @@ class CycleTable:
     That is one entry per distinct pair state asked for: at most 2^(n-1)
     when each pair is always named by the same state, as a graph's
     bundles name it.
-
-    _STEP_CAP sits where the two paths cost the same.  Built both ways
-    (CPython 3.11, x86-64), a cycle of 127 states took 41 us stepped and
-    48 us extended, one of 217 states 69 us both ways, and one of 341
-    states 110 us stepped and 61 us extended.
     """
 
-    def __init__(self, reg: Lfsr, cycles=None):
+    def __init__(self, reg: Lfsr, cycles=None, locator=None):
         self.n, self.poly, self.taps = reg.n, reg.poly, reg.taps
         self._gap = 1 << reg.n // 4
         self.cycles = []
         self._marks = {}  # landmark state -> c << n | k
+        self._unmarked = cycles is not None  # given cycles are marked on the first walk
         self._walk = [0] * self._gap  # the states of locate's last walk
         self._pairs = {}  # pair state v -> the packed positions of v and v ^ 1
         self._squares = [poly_mod(X, reg.poly)]  # x^(2^t) mod f, grown on use
+        self._locator = locator
         if cycles is not None:
             self.cycles.extend(cycles)
-            self._mark_given()
 
     def locate(self, state: int) -> tuple[int, int]:
-        """(c, k) such that `state` sits at position k of cycle c; builds c if it is new."""
+        """(c, k) such that `state` sits at position k of cycle c, by a walk; builds c if it is new."""
         if state < 0 or state >> self.n:
             raise ValueError(f"state does not fit in {self.n} stages")
+        if self._unmarked:
+            self._mark_given()
         n, marks, taps, top, walk = self.n, self._marks, self.taps, self.n - 1, self._walk
         s = state
         for steps in range(self._gap):
@@ -214,7 +213,13 @@ class CycleTable:
                 return c, (p - (c << n) - steps) % len(self.cycles[c])
             walk[steps] = s
             s = (s >> 1) | ((s & taps).bit_count() & 1) << top
-        return self._build(s), 0
+        return self._build(), 0
+
+    def locate_start(self, state: int) -> tuple[int, int]:
+        """locate for a join's start state: through the locator, with no walk, when the table has one."""
+        if self._locator is None:
+            return self.locate(state)
+        return self._locator(state)
 
     def locate_pairs(self, pairs) -> list[int]:
         """For each pair state v, where v and its conjugate v ^ 1 sit, as one int.
@@ -235,35 +240,29 @@ class CycleTable:
             out.append(p)
         return out
 
-    def _build(self, s: int) -> int:
-        """Build the cycle read from the walk's first state and return its number.
+    def keep_pairs(self, located) -> None:
+        """Remember pair positions found elsewhere: pair state v -> its int in locate_pairs' form.
 
-        s is where the walk stopped, gap steps past that state.
+        The positions must be on this table's own cycles, as a factored
+        register's pair search finds them (adjacency.PairSearch.first).
         """
-        taps, top, gap, marks, walk = self.taps, self.n - 1, self._gap, self._marks, self._walk
+        self._pairs.update(located)
+
+    def _build(self) -> int:
+        """Build the cycle read from the walk's first state, and its landmarks; return its number."""
+        n, gap, walk = self.n, self._gap, self._walk
+        if walk.count(walk[0]) > 1:  # the walk went round a cycle shorter than gap
+            walk = walk[: walk.index(walk[0], 1)]
+        text = cycle_bits(self.poly, walk, self._squares)
         c = len(self.cycles)
-        start = walk[0]
-        if walk.count(start) > 1:  # the walk went round a cycle shorter than gap
-            order = array("I", walk[: walk.index(start, 1)])
-        else:
-            order = array("I", walk)
-            append = order.append
-            for _ in range(_STEP_CAP - gap):
-                if s == start:
-                    break
-                append(s)
-                s = (s >> 1) | ((s & taps).bit_count() & 1) << top
-            if s != start:
-                text, states = self._extend(_low_bits(order) + format(s, f"0{self.n}b")[::-1])
-                self.cycles.append(text)
-                marks.update(zip(states, range(c << self.n, (c << self.n) + len(text), gap)))
-                return c
-        self.cycles.append(_low_bits(order))
-        marks.update(zip(order[::gap], range(c << self.n, (c << self.n) + len(order), gap)))
+        self.cycles.append(text)
+        states = cyclic_windows(text.encode("ascii"), n, gap)
+        self._marks.update(zip(states, range(c << n, (c << n) + len(text), gap)))
         return c
 
     def _mark_given(self) -> None:
         """The landmarks of every cycle, read from batches of cycles laid end to end."""
+        self._unmarked = False
         n, gap, cycles, marks = self.n, self._gap, self.cycles, self._marks
         end = 0
         while end < len(cycles):
@@ -283,43 +282,75 @@ class CycleTable:
                 marks.update(zip(kept, range(first, first + length, gap)))
                 at += -(-(length + n - 1) // gap)
 
-    def _extend(self, text: str) -> tuple[str, array]:
-        """The cycle that `text` begins, and its landmark states.
 
-        `text` holds at least n + 1 bits, and none of its windows after
-        the first is the first.
-        """
-        n, squares = self.n, self._squares
-        first = text[:n]
-        bits = int(text[::-1], 2)  # s_k in bit k
-        m = len(text)
-        seek = m - n + 1  # the first window not yet compared with the first one
-        while True:
-            t = m.bit_length() - 1
-            if 1 << t < n:
-                span, rest = n, self.taps  # x^n = taps (mod f): the plain recurrence
-            else:
-                span = 1 << t
-                while len(squares) <= t:
-                    squares.append(poly_mulmod(squares[-1], squares[-1], self.poly))
-                rest = squares[t]
-            window = bits >> (m - span)
-            new = 0
-            while rest:
-                low = rest & -rest
-                new ^= window >> (low.bit_length() - 1)
-                rest ^= low
-            count = span - n + 1
-            new &= (1 << count) - 1
-            bits |= new << m
-            m += count
-            text += format(new, f"0{count}b")[::-1]
-            period = text.find(first, seek)
-            if period >= 0:
-                break
-            seek = m - n + 1
-        text = text[:period]
-        return text, cyclic_windows(text.encode("ascii"), n, self._gap)
+def cycle_bits(poly: int, states, squares: list[int] | None = None) -> str:
+    """The output bits of a cycle of the register of `poly`, read from the state states[0].
+
+    `states` lists the cycle's first states in order, at least one and
+    none twice.  The cycle is stepped on from them, as an array of
+    states whose low bytes are its bits.  One still open after
+    _STEP_CAP states is extended at C speed instead.  Over GF(2),
+    squaring is linear, so r_t = x^(2^t) mod f comes from r_(t-1) by one
+    squaring, and x^D - r_t with D = 2^t is a multiple of f: s_(k+D) is
+    the sum of s_(k+j) over the terms x^j of r_t.  With m bits known and
+    n <= D <= m, one pass of shifts and XORs on a packed integer adds the
+    D - n + 1 bits after them, so the length about doubles each pass
+    (while no such D exists, D = n and r is the taps, one bit a pass).
+    The period is the first return of the first window (str.find).
+    `squares` holds the r_t found so far and grows in place, so a cycle
+    table's cycles share them; without it they are found afresh.
+
+    _STEP_CAP sits where the two paths cost the same.  Built both ways
+    (CPython 3.11, x86-64), a cycle of 127 states took 41 us stepped and
+    48 us extended, one of 217 states 69 us both ways, and one of 341
+    states 110 us stepped and 61 us extended.
+    """
+    n = degree(poly)
+    taps, top = poly ^ (1 << n), n - 1
+    order = array("I", states)
+    start, s = order[0], order[-1]
+    s = (s >> 1) | ((s & taps).bit_count() & 1) << top
+    append = order.append
+    for _ in range(_STEP_CAP - len(order)):
+        if s == start:
+            break
+        append(s)
+        s = (s >> 1) | ((s & taps).bit_count() & 1) << top
+    text = _low_bits(order)
+    if s == start:
+        return text
+    if squares is None:
+        squares = [poly_mod(X, poly)]
+    # no window of text after the first is the first
+    text += format(s, f"0{n}b")[::-1]
+    first = text[:n]
+    bits = int(text[::-1], 2)  # s_k in bit k
+    m = len(text)
+    seek = m - n + 1  # the first window not yet compared with the first one
+    while True:
+        t = m.bit_length() - 1
+        if 1 << t < n:
+            span, rest = n, taps  # x^n = taps (mod f): the plain recurrence
+        else:
+            span = 1 << t
+            while len(squares) <= t:
+                squares.append(poly_mulmod(squares[-1], squares[-1], poly))
+            rest = squares[t]
+        window = bits >> (m - span)
+        new = 0
+        while rest:
+            low = rest & -rest
+            new ^= window >> (low.bit_length() - 1)
+            rest ^= low
+        count = span - n + 1
+        new &= (1 << count) - 1
+        bits |= new << m
+        m += count
+        text += format(new, f"0{count}b")[::-1]
+        period = text.find(first, seek)
+        if period >= 0:
+            return text[:period]
+        seek = m - n + 1
 
 
 def _low_bits(order: array) -> str:

@@ -3,8 +3,9 @@
 FactoredLfsr validates the factor list, then builds, in order: the
 per-factor cycle representatives, the state basis, the cycle set, the
 per-factor representation of the special state, and (lazily) the local
-pair tables and the full adjacency graph.  Everything downstream
-(counting, generating, sampling) hangs off this object.
+pair tables and the full adjacency graph.  Its register's cycle table
+reads the cycles and locates states from the factors.  Everything
+downstream (counting, generating, sampling) hangs off this object.
 """
 
 from functools import partial, reduce
@@ -15,7 +16,13 @@ from .adjacency import (
     build_local_tables,
     represent_special_state,
 )
-from .cycles import cycle_strings, enumerate_cycles, representative_state, states_per_factor
+from .cycles import (
+    _states_per_factor,
+    cycle_locator,
+    cycle_strings,
+    enumerate_cycles,
+    representative_state,
+)
 from .gf2 import degree, format_poly, is_irreducible, parse_poly, poly_mul
 from .lfsr import Lfsr, StateBasis
 from .joining import greedy_connected_subgraph
@@ -65,12 +72,16 @@ class FactoredLfsr:
         self.factor_polys = polys
         self.n = n
         self.poly = reduce(poly_mul, polys, 1)
-        self.factors = [states_per_factor(p) for p in polys]
+        self.factors = [_states_per_factor(p) for p in polys]  # each checked above
         self.basis = StateBasis(polys)
         self.cycles = enumerate_cycles(self.factors)
-        # the partial holds the cycles and factors, not self, so the
-        # register and this object form no reference cycle
-        self.lfsr = Lfsr(self.poly, partial(cycle_strings, self.cycles, self.factors))
+        # the partials hold the cycles, factors and basis, not self, so
+        # the register and this object form no reference cycle
+        self.lfsr = Lfsr(
+            self.poly,
+            partial(cycle_strings, self.cycles, self.factors),
+            partial(cycle_locator, self.cycles, self.factors, self.basis),
+        )
         self.special = represent_special_state(self.basis, self.factors)
         self.cycles.special_index = self.cycles.index_of(self.special.descriptor)
         self._tables = None
@@ -98,10 +109,16 @@ class FactoredLfsr:
         return self._graph
 
     def greedy_tree(self) -> AdjacencyGraph:
-        """A spanning structure without building the full graph."""
-        return greedy_connected_subgraph(
+        """A spanning structure without building the full graph.
+
+        Its pairs' positions go to the register's cycle table, so a join
+        of them walks no state.
+        """
+        graph = greedy_connected_subgraph(
             self.cycles, self.tables, self.factors, self.basis, self.special
         )
+        self.lfsr.cycle_table().keep_pairs(graph.located)
+        return graph
 
     def representative(self, index: int) -> int:
         return representative_state(self.cycles[index], self.basis, self.factors)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclejoin import cycles, gf2, pipeline
 from cyclejoin.cycles import (
     canonical_shifts,
     enumerate_cycles,
@@ -79,7 +80,7 @@ def test_factor_locate_rejects_states_wider_than_the_factor():
 def test_orbit_walk_rejects_representatives_on_one_cycle(monkeypatch):
     # p itself as its own "primitive": its m-sequence is one cycle of 5
     # states, too short to hold the 15 nonzero states
-    monkeypatch.setattr("cyclejoin.cycles.find_associated_primitive", lambda p: p)
+    monkeypatch.setattr("cyclejoin.cycles._associated_primitive", lambda p, e: p)
     with pytest.raises(AssertionError, match="is not primitive"):
         states_per_factor(0b11111)
 
@@ -153,6 +154,29 @@ def test_states_per_factor_matches_the_stepped_oracle_on_many_orbits(poly):
     assert fd.states == states
     assert [fd.orbit(j) for j in range(fd.t)] == orbits
     assert fd.positions() == where
+
+
+@pytest.mark.parametrize("factors", ["11,1011110010111", "1001001,10000001111", "11,111,11111"])
+def test_setup_tests_each_factor_and_finds_its_order_once(factors, monkeypatch):
+    # the associated-primitive scan still tests its candidates q, never p
+    tested, ordered = [], []
+    real_irreducible, real_order = gf2.is_irreducible, gf2._order
+
+    def is_irreducible(p):
+        tested.append(p)
+        return real_irreducible(p)
+
+    def order(p):
+        ordered.append(p)
+        return real_order(p)
+
+    for module in (gf2, cycles, pipeline):
+        monkeypatch.setattr(module, "is_irreducible", is_irreducible)
+    for module in (gf2, cycles):
+        monkeypatch.setattr(module, "_order", order)
+    inst = FactoredLfsr.from_strings(factors)
+    for p in inst.factor_polys:
+        assert tested.count(p) == 1 and ordered.count(p) == 1, format(p, "b")
 
 
 def test_enumerate_cycles_n7_reference():

@@ -21,10 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclejoin import lfsr
+from cyclejoin.cli import main
+from cyclejoin.cycles import cycle_strings
 from cyclejoin.joining import g_trees, join_cycles, random_spanning_tree, verify_de_bruijn
 from cyclejoin.lfsr import Lfsr, state_to_str
 from cyclejoin.pipeline import FactoredLfsr
-from state_oracle import step
+from state_oracle import advance, locate_state, step
 from test_oracles import _factor_sets
 from test_pair_search import GOLDEN, factor_sets
 
@@ -182,6 +184,28 @@ def test_extended_cycles_match_stepping_and_the_reference_join(cap, data):
         check_located(reg, locate_every_state(reg, random.Random(poly)))
 
 
+@pytest.mark.parametrize("cap", [1, 3, lfsr._STEP_CAP])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cycle_bits_match_stepping(cap, data):
+    # read from one state or from a few already stepped, extended past the cap
+    n = data.draw(st.integers(1, 12))
+    reg = Lfsr(1 << n | data.draw(st.integers(0, (1 << n) - 1)) | 1)
+    states = [data.draw(st.integers(0, (1 << n) - 1))]
+    while len(states) < data.draw(st.integers(1, 4)):
+        s = step(reg, states[-1])
+        if s == states[0]:
+            break
+        states.append(s)
+    period, s = 1, step(reg, states[0])
+    while s != states[0]:
+        period, s = period + 1, step(reg, s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lfsr, "_STEP_CAP", cap)
+        bits = lfsr.cycle_bits(reg.poly, states)
+    assert bits == "".join(map(str, reg.generate(states[0], period)))
+
+
 @pytest.mark.parametrize("factors", ["1000001010011", "1001001,10000001111"])
 def test_long_cycles_locate_every_state(factors):
     # one cycle of length 4095 (a primitive degree-12 register), and the
@@ -276,9 +300,104 @@ def test_joins_on_one_shared_table_match_joins_on_fresh_tables(polys, data):
             assert join_cycles(pairs, shared, init) == fresh
 
 
+def check_greedy_pairs_arrive_located(inst: FactoredLfsr) -> None:
+    """Each greedy pair's kept positions are its windows' and a walk's on the cycle strings.
+
+    A register stepped without its factors numbers its cycles in the
+    order it finds them, so the walk runs on a table of the factors'
+    cycle strings that has no locator.
+    """
+    n = inst.n
+    graph = inst.greedy_tree()
+    strings = cycle_strings(inst.cycles, inst.factors)
+    walker = lfsr.CycleTable(Lfsr(inst.poly), strings)
+    assert sorted(graph.located) == sorted(v for (v,) in graph.edges.values())
+    for (a, b), (v,) in graph.edges.items():
+        p = graph.located[v]
+        x, y = p >> 2 * n, p & (1 << 2 * n) - 1
+        assert (x >> n, y >> n) == (a, b)
+        for c, k, state in ((a, x & (1 << n) - 1, v), (b, y & (1 << n) - 1, v ^ 1)):
+            ext = strings[c] * (n // len(strings[c]) + 2)
+            assert ext[k : k + n] == state_to_str(state, n)
+            assert walker.locate(state) == (c, k)
+    # the register's table keeps them, so a join of the tree walks none
+    assert inst.lfsr.cycle_table()._pairs == graph.located
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_greedy_pairs_of_every_small_register_arrive_located(n):
+    for polys in _factor_sets(n):
+        check_greedy_pairs_arrive_located(FactoredLfsr(polys))
+
+
+@pytest.mark.parametrize("factors", GOLDEN)
+def test_greedy_pairs_of_the_golden_instances_arrive_located(factors):
+    check_greedy_pairs_arrive_located(FactoredLfsr.from_strings(factors))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_the_locator_matches_the_walk_on_every_state(n):
+    for polys in _factor_sets(n):
+        inst = FactoredLfsr(polys)
+        table = inst.lfsr.cycle_table()
+        for s in range(1 << n):
+            assert table.locate_start(s) == table.locate(s), (polys, s)
+        assert table.locate_start(0) == (0, 0)
+
+
+@pytest.mark.parametrize("factors", GOLDEN)
+def test_the_locator_matches_the_walk_and_the_oracle_on_drawn_states(factors):
+    inst = FactoredLfsr.from_strings(factors)
+    table = inst.lfsr.cycle_table()
+    rng = random.Random(factors)
+    for s in [0, 1, (1 << inst.n) - 1] + [rng.randrange(1 << inst.n) for _ in range(300)]:
+        c, k = table.locate_start(s)
+        assert (c, k) == table.locate(s)
+        assert c == locate_state(s, inst.basis, inst.factors, inst.cycles)
+        assert advance(inst.lfsr, inst.representative(c), k) == s
+    for bad in (-1, 1 << inst.n):
+        with pytest.raises(ValueError):
+            table.locate_start(bad)
+
+
+@pytest.mark.parametrize("factors", ["11,1011110010111", "1001001,10000001111"])
+def test_partial_walks_no_state_and_builds_no_landmark(factors, monkeypatch, capsys):
+    # generate and sample join bundle pairs that come unlocated, so they walk
+    walks, marked = [], []
+    real_locate, real_mark = lfsr.CycleTable.locate, lfsr.CycleTable._mark_given
+
+    def locate(self, state):
+        walks.append(state)
+        return real_locate(self, state)
+
+    def mark_given(self):
+        marked.append(self)
+        real_mark(self)
+
+    monkeypatch.setattr(lfsr.CycleTable, "locate", locate)
+    monkeypatch.setattr(lfsr.CycleTable, "_mark_given", mark_given)
+    n = sum(len(f) - 1 for f in factors.split(","))
+    rng = random.Random(factors)
+    starts = [[], ["--initial-state", "0" * n]]
+    starts += [["--initial-state", format(rng.getrandbits(n) | 1, f"0{n}b")] for _ in range(3)]
+    for start in starts:
+        assert main(["generate", "--factors", factors, "--partial", *start]) == 0
+        line = capsys.readouterr().out.strip()
+        assert verify_de_bruijn(line, n)
+        if start:
+            assert line.startswith(start[1])
+        assert walks == [] and marked == []
+    for argv in (["generate", "--limit", "2"], ["sample", "--limit", "2", "--seed", "1"]):
+        assert main([argv[0], "--factors", factors, *argv[1:]]) == 0
+        capsys.readouterr()
+        assert walks and len(marked) == 1
+        del walks[:], marked[:]
+
+
 def test_a_repeated_join_walks_no_locate_step(monkeypatch):
     # A locate that walks no step looks up one landmark, the state itself;
-    # each step it walks costs one lookup more.
+    # each step it walks costs one lookup more.  The start state is found
+    # by the factors' locator, with no walk.
     class CountingMarks(dict):
         lookups = 0
 
@@ -296,14 +415,14 @@ def test_a_repeated_join_walks_no_locate_step(monkeypatch):
     inst = FactoredLfsr.from_strings("11,1011110010111")
     tree = random_spanning_tree(inst.graph(), 1)
     monkeypatch.setattr(lfsr.CycleTable, "locate", locate)
-    table = inst.lfsr.cycle_table()  # every landmark is filled here
-    table._marks = CountingMarks(table._marks)
+    table = inst.lfsr.cycle_table()
+    table._marks = CountingMarks(table._marks)  # the first walk fills it
     first = join_cycles(tree, inst.lfsr)
-    assert len(calls) == 2 * len(tree) + 1 and CountingMarks.lookups > len(calls)
+    assert len(calls) == 2 * len(tree) and CountingMarks.lookups > len(calls)
     del calls[:]
     CountingMarks.lookups = 0
     assert join_cycles(tree, inst.lfsr) == first
-    assert calls == [0] and CountingMarks.lookups == 1
+    assert calls == [] and CountingMarks.lookups == 0
 
 
 def test_kept_pair_positions_memory():
