@@ -94,6 +94,14 @@ line=$(timeout 60 python -m cyclejoin generate --partial --factors 1001001,10000
 test "${line:0:20}" = "$start"
 echo "$line" | python -m cyclejoin verify -
 
+check "Generate and sample at n=20 from a nonzero start state, located from the factors, piped into verify"
+start=10110011100011110000
+for argv in "generate --limit 2" "sample --limit 2 --seed 1"; do
+  out=$(timeout 60 python -m cyclejoin $argv --factors 1001001,100000000101011 --initial-state "$start")
+  test "$(echo "$out" | grep -c "^$start")" -eq 2
+  test "$(echo "$out" | python -m cyclejoin verify - | grep -c ': ok$')" -eq 2
+done
+
 check "Greedy tree at n=24 from a nonzero start state piped into verify, as a guard on the located join"
 timeout 60 python -m cyclejoin generate --partial --factors 1001001,1000000000001110111 \
   --initial-state 101100111000111100001101 | python -m cyclejoin verify -

@@ -9,10 +9,11 @@ constant term ends up in bit 0, parsing a coefficient string is just
 ``int(s, 2)``.
 
 Beyond plain arithmetic the module provides irreducibility and
-primitivity tests, multiplicative orders, and the search for an associated
-primitive polynomial (a primitive q whose root alpha satisfies
-alpha^t = beta for the root beta of a non-primitive irreducible g).
-All computations are exact; nothing here is probabilistic.
+primitivity tests, and for an irreducible factor already checked, its
+multiplicative order and the search for an associated primitive
+polynomial (a primitive q whose root alpha satisfies alpha^t = beta for
+the root beta of a non-primitive irreducible g).  All computations are
+exact; nothing here is probabilistic.
 """
 
 __all__ = [
@@ -26,9 +27,7 @@ __all__ = [
     "poly_mulmod",
     "poly_powmod",
     "is_irreducible",
-    "poly_order",
     "is_primitive",
-    "find_associated_primitive",
     "prime_factors",
 ]
 
@@ -176,22 +175,13 @@ def is_irreducible(p: int) -> bool:
     return h == X
 
 
-def poly_order(p: int) -> int:
-    """Multiplicative order of a root of the irreducible polynomial p.
+def _order(p: int) -> int:
+    """Multiplicative order of a root of p, known irreducible with constant term 1.
 
     This is the least e with x^e == 1 (mod p); it divides 2^deg(p) - 1.
     Found by stripping prime factors of 2^n - 1 (trial division is fine
     at the intended scale of n <= 24 per factor).
     """
-    if not is_irreducible(p):
-        raise ValueError(f"{format_poly(p)} is reducible; order is defined for irreducible polynomials")
-    if not p & 1:
-        raise ValueError("x has no multiplicative order")
-    return _order(p)
-
-
-def _order(p: int) -> int:
-    """poly_order for p already known irreducible, with constant term 1."""
     n = degree(p)
     e = (1 << n) - 1
     for q in prime_factors(e):
@@ -213,19 +203,14 @@ def _eval_poly(g: int, beta: int, m: int) -> int:
     return poly_mod(acc, m)
 
 
-def find_associated_primitive(g: int) -> int:
-    """Primitive q of the same degree whose root alpha has alpha^t a root of g.
-
-    Here t = (2^n - 1) / order(g).  A primitive polynomial is its own
-    associate.  Candidates are scanned in ascending order of the
-    coefficient bit pattern (constant term in bit 0), so the result is
-    deterministic.
-    """
-    return _associated_primitive(g, poly_order(g))
-
-
 def _associated_primitive(g: int, e: int) -> int:
-    """find_associated_primitive for g already known irreducible, of order e."""
+    """Primitive q of the same degree as g whose root alpha has alpha^t a root of g.
+
+    g is known irreducible, of order e, and t = (2^n - 1) / e.  A
+    primitive polynomial is its own associate.  Candidates are scanned
+    in ascending order of the coefficient bit pattern (constant term in
+    bit 0), so the result is deterministic.
+    """
     n = degree(g)
     t = ((1 << n) - 1) // e
     if t == 1:

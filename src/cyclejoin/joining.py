@@ -28,19 +28,18 @@ strings in the register's Lfsr.cycle_table, not by stepping the joined
 register bit by bit.  The first join makes the table.  For a
 FactoredLfsr's register it holds every cycle from the start, graph
 vertex c as cycle c, each the XOR of its components' factor cycles
-(cycles.cycle_strings), so no state is stepped; a register given
-without factors builds each cycle the first time one of its states is
-located.  Either way it keeps its cycles for later joins.  It also keeps the
-positions of each conjugate pair after the first join that uses it, as
-one int, so a repeat join finds its pairs by dict lookups instead of
-walks; that memory is one entry per distinct pair joined, at most
-2^(n-1).  A factored table builds its landmarks, the states a walk
-stops at, only on its first walk.  A greedy tree's pairs come to it
-already located, from the residues of the pair search that found them,
-and the start state is located by algebra on the factors
-(cycles.cycle_locator), so `generate --partial` walks no state and
-builds no landmark; the bundle pairs of `generate` and `sample` still
-walk.  The de Bruijn check reads the 2^(n-1) cyclic (n+1)-bit
+(cycles.cycle_strings), and locates every state, pair states and start
+state alike, by algebra on the factors (cycles.cycle_locator): no
+command on a factored register steps a state to find one.  A register
+given without factors builds each cycle the first time one of its
+states is located, by a walk to a landmark.  Either way the table
+keeps its cycles for later joins.  It also keeps the positions of each
+conjugate pair after the first join that uses it, as one int, so a
+repeat join finds its pairs by dict lookups; that memory is one entry
+per distinct pair joined, at most 2^(n-1).  A greedy tree's pairs
+come to it already located, from the residues of the pair search that
+found them, so `generate --partial` locates only its start state.  The
+de Bruijn check reads the 2^(n-1) cyclic (n+1)-bit
 windows at even positions a byte at a time (lfsr's cyclic_windows),
 from the line parsed once into a packed integer.  Each holds the n-bit
 windows at its position and the next, so marking each in a table of
@@ -381,7 +380,7 @@ def join_cycles(pairs, spec: Lfsr, init: int = 0) -> DeBruijnSequence:
     states are found through CycleTable.locate_pairs, which keeps each
     pair's positions for the register's later joins: one int per
     distinct pair, at most 2^(n-1).  The start state is found through
-    CycleTable.locate_start.
+    CycleTable.locate.
     """
     n = spec.n
     if len({v >> 1 for v in pairs}) != len(pairs):
@@ -403,7 +402,7 @@ def join_cycles(pairs, spec: Lfsr, init: int = 0) -> DeBruijnSequence:
     for ks in stops.values():
         ks.sort()
     size = 1 << n
-    c, k = table.locate_start(init)
+    c, k = table.locate(init)
     out = []
     total = 0
     while total < size:

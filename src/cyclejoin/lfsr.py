@@ -86,14 +86,13 @@ class Lfsr:
     bits c_i.  The constant term must be 1 (a nonsingular register), so
     every state lies on a cycle.
 
-    `cycles`, when given, is a callable that returns every cycle of the
-    register as its output bits (see CycleTable); the cycle table calls
-    it once, on first use, instead of stepping the register.  `locator`,
-    when given with it, is a callable that returns the table's locator,
-    called once with it.
+    `given`, when set, is a callable that returns every cycle of the
+    register as its output bits and a locator, as one pair (CycleTable's
+    `given`); the cycle table calls it once, on first use, instead of
+    stepping the register.
     """
 
-    def __init__(self, poly: int, cycles=None, locator=None):
+    def __init__(self, poly: int, given=None):
         n = degree(poly)
         if n < 1:
             raise ValueError("characteristic polynomial must have degree >= 1")
@@ -104,8 +103,7 @@ class Lfsr:
         self.poly = poly
         self.n = n
         self.taps = poly ^ (1 << n)
-        self._cycles = cycles
-        self._locator = locator
+        self._given = given
         self._cycle_table = None
 
     def __repr__(self):
@@ -129,9 +127,7 @@ class Lfsr:
         its cycles, and builds each cycle as it is located otherwise.
         """
         if self._cycle_table is None:
-            given = None if self._cycles is None else self._cycles()
-            locator = None if self._locator is None else self._locator()
-            self._cycle_table = CycleTable(self, given, locator)
+            self._cycle_table = CycleTable(self, None if self._given is None else self._given())
         return self._cycle_table
 
 
@@ -144,9 +140,6 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 # Cycles up to this long are stepped; longer ones are extended (cycle_bits).
 _STEP_CAP = 224
-# Given cycles are laid end to end for their landmarks about this many
-# bits at a time, so the padded text of the whole register is never held.
-_MARK_BATCH = 1 << 16
 
 
 class CycleTable:
@@ -154,56 +147,58 @@ class CycleTable:
 
     cycles[c] holds the outputs of cycle c read from one of its states,
     so the state at position k of cycle c is the n-bit window of
-    cycles[c] starting at k (read cyclically).  locate walks a state to
-    a landmark: every gap-th position of a cycle is one, a state kept
-    with its cycle and position packed as one int c << n | k, so a state
-    steps at most gap - 1 times to one.  gap = 2^(n/4) keeps both the
-    walk and the landmarks, about 2^n / gap over the whole register,
-    small.
+    cycles[c] starting at k (read cyclically).  locate finds a state's
+    (c, k) in one of two ways, fixed when the table is made.
 
-    A table made with `cycles`, every cycle of the register, holds them
-    all from the start, in that order, and builds their landmarks on
-    its first walk.  They come from cyclic_windows calls over the cycles
-    laid end to end, each padded to whole gaps with its own wrap bits;
-    the windows that start in a pad are dropped.  Such a table may also
-    have a `locator`, a function from a state to its (c, k) that steps
-    no state (a factored register's is cycles.cycle_locator), which
-    locate_start asks for a join's start state.  With the positions of
-    every pair handed over by keep_pairs, as a greedy tree's pair search
-    finds them, a join walks no state and the table builds no landmark.
+    A table made with `given`, a pair (cycles, locator), holds every
+    cycle of the register from the start, in that order, and locate
+    asks the locator, a function from a state to its (c, k) that steps
+    no state (a factored register's is cycles.cycle_locator).  Such a
+    table walks no state and keeps no landmark.
 
-    Otherwise no cycle is built before one of its states is located:
-    cycles are numbered in the order they are found, and `cycles` grows
-    in place.  A state that meets no landmark in gap steps lies on a
-    new cycle, which cycle_bits reads on from locate's walk.
+    Otherwise locate walks a state to a landmark: every gap-th position
+    of a cycle is one, a state kept with its cycle and position packed
+    as one int c << n | k, so a state steps at most gap - 1 times to
+    one.  gap = 2^(n/4) keeps both the walk and the landmarks, about
+    2^n / gap over the whole register, small.  No cycle is built before
+    one of its states is located: cycles are numbered in the order they
+    are found, and `cycles` grows in place.  A state that meets no
+    landmark in gap steps lies on a new cycle, which cycle_bits reads
+    on from locate's walk.
 
     A cycle never moves once built, so locate_pairs keeps the positions
     of each conjugate pair it locates, as one int, for the table's
-    lifetime: a join repeats no walk for a pair an earlier join used.
-    That is one entry per distinct pair state asked for: at most 2^(n-1)
-    when each pair is always named by the same state, as a graph's
-    bundles name it.
+    lifetime: a join locates no pair an earlier join used.  That is one
+    entry per distinct pair state asked for: at most 2^(n-1) when each
+    pair is always named by the same state, as a graph's bundles name
+    it.  keep_pairs hands over pairs located elsewhere, as a greedy
+    tree's pair search finds them.
     """
 
-    def __init__(self, reg: Lfsr, cycles=None, locator=None):
+    def __init__(self, reg: Lfsr, given=None):
         self.n, self.poly, self.taps = reg.n, reg.poly, reg.taps
-        self._gap = 1 << reg.n // 4
-        self.cycles = []
-        self._marks = {}  # landmark state -> c << n | k
-        self._unmarked = cycles is not None  # given cycles are marked on the first walk
-        self._walk = [0] * self._gap  # the states of locate's last walk
         self._pairs = {}  # pair state v -> the packed positions of v and v ^ 1
+        if given is not None:
+            self.cycles, self._locator = given
+            return
+        self._locator = None
+        self.cycles = []
+        self._gap = 1 << reg.n // 4
+        self._marks = {}  # landmark state -> c << n | k
+        self._walk = [0] * self._gap  # the states of locate's last walk
         self._squares = [poly_mod(X, reg.poly)]  # x^(2^t) mod f, grown on use
-        self._locator = locator
-        if cycles is not None:
-            self.cycles.extend(cycles)
 
     def locate(self, state: int) -> tuple[int, int]:
-        """(c, k) such that `state` sits at position k of cycle c, by a walk; builds c if it is new."""
+        """(c, k) such that `state` sits at position k of cycle c.
+
+        Through the locator when the table has one, which rejects a
+        state that does not fit as the walk does; otherwise by a walk,
+        which builds c if it is new.
+        """
+        if self._locator is not None:
+            return self._locator(state)
         if state < 0 or state >> self.n:
             raise ValueError(f"state does not fit in {self.n} stages")
-        if self._unmarked:
-            self._mark_given()
         n, marks, taps, top, walk = self.n, self._marks, self.taps, self.n - 1, self._walk
         s = state
         for steps in range(self._gap):
@@ -214,12 +209,6 @@ class CycleTable:
             walk[steps] = s
             s = (s >> 1) | ((s & taps).bit_count() & 1) << top
         return self._build(), 0
-
-    def locate_start(self, state: int) -> tuple[int, int]:
-        """locate for a join's start state: through the locator, with no walk, when the table has one."""
-        if self._locator is None:
-            return self.locate(state)
-        return self._locator(state)
 
     def locate_pairs(self, pairs) -> list[int]:
         """For each pair state v, where v and its conjugate v ^ 1 sit, as one int.
@@ -259,28 +248,6 @@ class CycleTable:
         states = cyclic_windows(text.encode("ascii"), n, gap)
         self._marks.update(zip(states, range(c << n, (c << n) + len(text), gap)))
         return c
-
-    def _mark_given(self) -> None:
-        """The landmarks of every cycle, read from batches of cycles laid end to end."""
-        self._unmarked = False
-        n, gap, cycles, marks = self.n, self._gap, self.cycles, self._marks
-        end = 0
-        while end < len(cycles):
-            start, pieces, size = end, [], 0
-            while end < len(cycles) and size < _MARK_BATCH:
-                text = cycles[end]
-                # whole gaps that hold the cycle and its n - 1 wrap bits
-                padded = -(-(len(text) + n - 1) // gap) * gap
-                pieces.append((text * -(-padded // len(text)))[:padded])
-                size += padded
-                end += 1
-            windows = cyclic_windows("".join(pieces).encode("ascii"), n, gap)
-            at = 0
-            for c in range(start, end):
-                length, first = len(cycles[c]), c << n
-                kept = windows[at : at + -(-length // gap)]
-                marks.update(zip(kept, range(first, first + length, gap)))
-                at += -(-(length + n - 1) // gap)
 
 
 def cycle_bits(poly: int, states, squares: list[int] | None = None) -> str:
@@ -405,6 +372,18 @@ def cyclic_windows(bits: bytes, n: int, step: int = 1) -> array:
     return array(_SLOT_FORMATS[width], slots)
 
 
+def _span_images(rows: list[int], lo: int, width: int) -> list[int]:
+    """images[x] = the XOR of rows[lo + i] over the set bits i of x, for x < 2^width.
+
+    One XOR per entry: the images of the x with bit i set are those
+    below 2^i, each XORed with rows[lo + i].
+    """
+    images = [0]
+    for row in rows[lo : lo + width]:
+        images += [x ^ row for x in images]
+    return images
+
+
 class StateBasis:
     """The change of basis between joint states and per-factor states.
 
@@ -416,6 +395,8 @@ class StateBasis:
     state operator, which is what makes per-factor bookkeeping valid.
     The matrices are fixed once built; the only later state is the
     per-factor image tables of slot_images, filled on first use.
+    decompose reads P^-1 through one image table per byte of a joint
+    state, filled when the basis is built.
     """
 
     def __init__(self, polys):
@@ -441,6 +422,11 @@ class StateBasis:
             raise ValueError(
                 "state basis is rank deficient: factors must be pairwise distinct irreducibles"
             ) from None
+        self._byte_images = [
+            (lo, _span_images(self.inv_rows, lo, min(8, self.n - lo)))
+            for lo in range(0, self.n, 8)
+        ]
+        self._cuts = [(off, (1 << d) - 1) for off, d in zip(self.offsets, self.degrees)]
 
     def compose(self, blocks) -> int:
         """Map per-factor states (one int per factor) to a joint state."""
@@ -459,17 +445,15 @@ class StateBasis:
         """
         images = self._slot_images.get(i)
         if images is None:
-            off, rows = self.offsets[i], self.rows
-            images = [0] * (1 << self.degrees[i])
-            for x in range(1, len(images)):
-                low = x & -x
-                images[x] = images[x ^ low] ^ rows[off + low.bit_length() - 1]
+            images = _span_images(self.rows, self.offsets[i], self.degrees[i])
             self._slot_images[i] = images
         return images
 
     def decompose(self, v: int) -> list[int]:
-        """Inverse of compose."""
+        """Inverse of compose: v P^-1, the XOR of its bytes' images, cut into blocks."""
         if v >> self.n:
             raise ValueError(f"state does not fit in {self.n} stages")
-        a = _vec_mat(v, self.inv_rows)
-        return [a >> off & ((1 << d) - 1) for off, d in zip(self.offsets, self.degrees)]
+        a = 0
+        for lo, images in self._byte_images:
+            a ^= images[v >> lo & 255]
+        return [a >> off & mask for off, mask in self._cuts]

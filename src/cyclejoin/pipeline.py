@@ -37,6 +37,11 @@ def parse_factors(texts) -> list[int]:
     return [parse_poly(t) for t in texts]
 
 
+def _cycle_table(cycles, factors, basis):
+    """What a factored register's cycle table is given: every cycle's string and the locator."""
+    return cycle_strings(cycles, factors), cycle_locator(cycles, factors, basis)
+
+
 class FactoredLfsr:
     """An LFSR given as a product of distinct irreducible factors.
 
@@ -75,13 +80,9 @@ class FactoredLfsr:
         self.factors = [_states_per_factor(p) for p in polys]  # each checked above
         self.basis = StateBasis(polys)
         self.cycles = enumerate_cycles(self.factors)
-        # the partials hold the cycles, factors and basis, not self, so
+        # the partial holds the cycles, factors and basis, not self, so
         # the register and this object form no reference cycle
-        self.lfsr = Lfsr(
-            self.poly,
-            partial(cycle_strings, self.cycles, self.factors),
-            partial(cycle_locator, self.cycles, self.factors, self.basis),
-        )
+        self.lfsr = Lfsr(self.poly, partial(_cycle_table, self.cycles, self.factors, self.basis))
         self.special = represent_special_state(self.basis, self.factors)
         self.cycles.special_index = self.cycles.index_of(self.special.descriptor)
         self._tables = None

@@ -4,9 +4,30 @@ The package builds every local pair table from a factor's orbit table,
 so these GF(2^n) exp/log/Zech tables share no code with it: tests use
 them to check local-table sizes against cyclotomic numbers and the
 primitive-factor tables against the shift-and-add property.
+
+``poly_order`` and ``find_associated_primitive`` are not oracles: they
+are checked entry points to gf2's order and associated-primitive
+search, which the package calls only on factors it has already
+checked, so that the tests can call them on any polynomial.
 """
 
 from dataclasses import dataclass
+
+from cyclejoin.gf2 import _associated_primitive, _order, format_poly, is_irreducible
+
+
+def poly_order(p: int) -> int:
+    """Multiplicative order of a root of the irreducible polynomial p."""
+    if not is_irreducible(p):
+        raise ValueError(f"{format_poly(p)} is reducible; order is defined for irreducible polynomials")
+    if not p & 1:
+        raise ValueError("x has no multiplicative order")
+    return _order(p)
+
+
+def find_associated_primitive(g: int) -> int:
+    """Primitive q of the same degree whose root alpha has alpha^t a root of g."""
+    return _associated_primitive(g, poly_order(g))
 
 
 @dataclass(frozen=True)

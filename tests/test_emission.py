@@ -301,16 +301,15 @@ def test_joins_on_one_shared_table_match_joins_on_fresh_tables(polys, data):
 
 
 def check_greedy_pairs_arrive_located(inst: FactoredLfsr) -> None:
-    """Each greedy pair's kept positions are its windows' and a walk's on the cycle strings.
+    """Each greedy pair's kept positions are its windows' on the cycle strings, and the oracle's.
 
-    A register stepped without its factors numbers its cycles in the
-    order it finds them, so the walk runs on a table of the factors'
-    cycle strings that has no locator.
+    The oracle finds each pair state's cycle from its blocks, and the
+    cycle's representative state stepped to the kept position is that
+    pair state.
     """
     n = inst.n
     graph = inst.greedy_tree()
     strings = cycle_strings(inst.cycles, inst.factors)
-    walker = lfsr.CycleTable(Lfsr(inst.poly), strings)
     assert sorted(graph.located) == sorted(v for (v,) in graph.edges.values())
     for (a, b), (v,) in graph.edges.items():
         p = graph.located[v]
@@ -319,8 +318,9 @@ def check_greedy_pairs_arrive_located(inst: FactoredLfsr) -> None:
         for c, k, state in ((a, x & (1 << n) - 1, v), (b, y & (1 << n) - 1, v ^ 1)):
             ext = strings[c] * (n // len(strings[c]) + 2)
             assert ext[k : k + n] == state_to_str(state, n)
-            assert walker.locate(state) == (c, k)
-    # the register's table keeps them, so a join of the tree walks none
+            assert locate_state(state, inst.basis, inst.factors, inst.cycles) == c
+            assert advance(inst.lfsr, inst.representative(c), k) == state
+    # the register's table keeps them, so a join of the tree locates none
     assert inst.lfsr.cycle_table()._pairs == graph.located
 
 
@@ -337,92 +337,113 @@ def test_greedy_pairs_of_the_golden_instances_arrive_located(factors):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_the_locator_matches_the_walk_on_every_state(n):
+    # A register stepped without its factors numbers its cycles in the order
+    # its walks find them, and reads each from the first state it meets.  So
+    # the locator and the walk agree when each factored cycle is one walked
+    # cycle, at one fixed offset, and no two share one.
     for polys in _factor_sets(n):
         inst = FactoredLfsr(polys)
         table = inst.lfsr.cycle_table()
+        walker = Lfsr(inst.poly).cycle_table()
+        same = {}  # factored cycle -> (walked cycle, walked minus factored position)
         for s in range(1 << n):
-            assert table.locate_start(s) == table.locate(s), (polys, s)
-        assert table.locate_start(0) == (0, 0)
+            c, k = table.locate(s)
+            w, j = walker.locate(s)
+            length = len(table.cycles[c])
+            assert len(walker.cycles[w]) == length, (polys, s)
+            assert same.setdefault(c, (w, (j - k) % length)) == (w, (j - k) % length), (polys, s)
+        assert len({w for w, _ in same.values()}) == len(walker.cycles) == inst.psi
+        assert table.locate(0) == (0, 0)
 
 
 @pytest.mark.parametrize("factors", GOLDEN)
 def test_the_locator_matches_the_walk_and_the_oracle_on_drawn_states(factors):
+    # the oracle names each state's cycle from its blocks, and stepping the
+    # cycle's representative state to the located position reaches it
     inst = FactoredLfsr.from_strings(factors)
     table = inst.lfsr.cycle_table()
     rng = random.Random(factors)
     for s in [0, 1, (1 << inst.n) - 1] + [rng.randrange(1 << inst.n) for _ in range(300)]:
-        c, k = table.locate_start(s)
-        assert (c, k) == table.locate(s)
+        c, k = table.locate(s)
         assert c == locate_state(s, inst.basis, inst.factors, inst.cycles)
         assert advance(inst.lfsr, inst.representative(c), k) == s
     for bad in (-1, 1 << inst.n):
         with pytest.raises(ValueError):
-            table.locate_start(bad)
+            table.locate(bad)
 
 
 @pytest.mark.parametrize("factors", ["11,1011110010111", "1001001,10000001111"])
 def test_partial_walks_no_state_and_builds_no_landmark(factors, monkeypatch, capsys):
-    # generate and sample join bundle pairs that come unlocated, so they walk
-    walks, marked = [], []
-    real_locate, real_mark = lfsr.CycleTable.locate, lfsr.CycleTable._mark_given
+    # Every command on a factored register locates through the factors: no
+    # table it makes builds a cycle by a walk (_build) or keeps a landmark.
+    tables, built = [], []
+    real_table, real_build = lfsr.Lfsr.cycle_table, lfsr.CycleTable._build
 
-    def locate(self, state):
-        walks.append(state)
-        return real_locate(self, state)
+    def cycle_table(self):
+        tables.append(real_table(self))
+        return tables[-1]
 
-    def mark_given(self):
-        marked.append(self)
-        real_mark(self)
+    def build(self):
+        built.append(self)
+        return real_build(self)
 
-    monkeypatch.setattr(lfsr.CycleTable, "locate", locate)
-    monkeypatch.setattr(lfsr.CycleTable, "_mark_given", mark_given)
+    monkeypatch.setattr(lfsr.Lfsr, "cycle_table", cycle_table)
+    monkeypatch.setattr(lfsr.CycleTable, "_build", build)
     n = sum(len(f) - 1 for f in factors.split(","))
     rng = random.Random(factors)
     starts = [[], ["--initial-state", "0" * n]]
     starts += [["--initial-state", format(rng.getrandbits(n) | 1, f"0{n}b")] for _ in range(3)]
-    for start in starts:
-        assert main(["generate", "--factors", factors, "--partial", *start]) == 0
-        line = capsys.readouterr().out.strip()
-        assert verify_de_bruijn(line, n)
-        if start:
-            assert line.startswith(start[1])
-        assert walks == [] and marked == []
-    for argv in (["generate", "--limit", "2"], ["sample", "--limit", "2", "--seed", "1"]):
-        assert main([argv[0], "--factors", factors, *argv[1:]]) == 0
-        capsys.readouterr()
-        assert walks and len(marked) == 1
-        del walks[:], marked[:]
+    commands = [["generate", "--partial"], ["generate", "--limit", "2"]]
+    commands.append(["sample", "--limit", "2", "--seed", "1"])
+    for argv in commands:
+        for start in starts:
+            assert main([argv[0], "--factors", factors, *argv[1:], *start]) == 0
+            lines = capsys.readouterr().out.split()
+            assert lines and all(verify_de_bruijn(line, n) for line in lines)
+            if start:
+                assert all(line.startswith(start[1]) for line in lines)
+            assert tables and built == []
+            assert all(getattr(table, "_marks", {}) == {} for table in tables)
+            del tables[:]
 
 
-def test_a_repeated_join_walks_no_locate_step(monkeypatch):
-    # A locate that walks no step looks up one landmark, the state itself;
-    # each step it walks costs one lookup more.  The start state is found
-    # by the factors' locator, with no walk.
-    class CountingMarks(dict):
-        lookups = 0
-
-        def __contains__(self, state):
-            CountingMarks.lookups += 1
-            return super().__contains__(state)
-
-    calls = []
-    real_locate = lfsr.CycleTable.locate
-
-    def locate(self, state):
-        calls.append(state)
-        return real_locate(self, state)
-
+def test_a_repeated_join_walks_no_locate_step():
+    # The first join locates both states of each pair and the start state,
+    # each by one call of the factors' locator; a repeat finds every pair
+    # kept and locates only its start state.
     inst = FactoredLfsr.from_strings("11,1011110010111")
     tree = random_spanning_tree(inst.graph(), 1)
-    monkeypatch.setattr(lfsr.CycleTable, "locate", locate)
     table = inst.lfsr.cycle_table()
-    table._marks = CountingMarks(table._marks)  # the first walk fills it
+    calls, real_locator = [], table._locator
+
+    def locator(state):
+        calls.append(state)
+        return real_locator(state)
+
+    table._locator = locator
     first = join_cycles(tree, inst.lfsr)
-    assert len(calls) == 2 * len(tree) and CountingMarks.lookups > len(calls)
+    assert len(calls) == 2 * len(tree) + 1
     del calls[:]
-    CountingMarks.lookups = 0
     assert join_cycles(tree, inst.lfsr) == first
-    assert calls == [] and CountingMarks.lookups == 0
+    assert calls == [0]
+
+
+def test_a_factored_table_after_sampled_joins_is_its_cycle_strings():
+    # n=20, psi=30: the cycle strings hold 2^20 bits, about 1 MiB.  Two
+    # sampled trees locate their pairs through the factors, so the table
+    # adds their 57 kept pairs; a table that walked them to landmarks held
+    # 32,776 of those, 3.1 MiB more.
+    inst = FactoredLfsr.from_strings("1001001,100000000101011")
+    graph = inst.graph()
+    trees = [random_spanning_tree(graph, seed) for seed in (1, 2)]
+    tracemalloc.start()
+    try:
+        for tree in trees:
+            join_cycles(tree, inst.lfsr)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size < 1.5 * 2**20
 
 
 def test_kept_pair_positions_memory():
@@ -501,8 +522,8 @@ def test_windows_match_per_window_encoding(n, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 42))
 def test_windows_at_a_step_are_every_step_th_window(n, monkeypatch):
-    # verify reads width n + 1 at step 2, up to 41 bits at n = 40; the cycle
-    # table reads its landmarks at step 2^(n/4)
+    # verify reads width n + 1 at step 2, up to 41 bits at n = 40; a walked
+    # cycle table reads its landmarks at step 2^(n/4)
     rng = random.Random(n)
     lengths = (1, 2, 3, n, n + 1, 2 * n + 5, 3 * n + 6, 1 << min(n, 12))
     for m in lengths:

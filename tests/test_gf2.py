@@ -6,7 +6,6 @@ import pytest
 
 from cyclejoin.gf2 import (
     degree,
-    find_associated_primitive,
     format_poly,
     is_irreducible,
     is_primitive,
@@ -16,11 +15,16 @@ from cyclejoin.gf2 import (
     poly_mod,
     poly_mul,
     poly_mulmod,
-    poly_order,
     poly_powmod,
     prime_factors,
 )
-from field_oracle import CyclotomicParams, FieldContext, cyclotomic_number
+from field_oracle import (
+    CyclotomicParams,
+    FieldContext,
+    cyclotomic_number,
+    find_associated_primitive,
+    poly_order,
+)
 
 X = 0b10
 
